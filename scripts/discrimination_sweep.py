@@ -15,7 +15,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--width", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--k-max", type=int, default=3)
+    parser.add_argument("--k-max", type=int, default=6)
     parser.add_argument("--rank", type=int, default=None, help="1 for a pure state")
     args = parser.parse_args()
 

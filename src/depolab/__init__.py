@@ -9,7 +9,7 @@ depolarization, and evaluates how little k copies help in distinguishing
 the depolarized state from pure noise.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .circuits import (
     Circuit,
@@ -50,7 +50,6 @@ from .discrimination import (
     bound_chain,
     density_from_pure,
     depolarize_density,
-    helstrom_correct,
     maximally_mixed,
     random_density_matrix,
     trace_norm_diff,
@@ -94,7 +93,6 @@ __all__ = [
     "empirical_tv",
     "gate",
     "hardness_gap",
-    "helstrom_correct",
     "maximally_mixed",
     "mixture_distribution",
     "multiplicative_certificate",

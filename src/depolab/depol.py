@@ -31,7 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapExceeded
 from .statevector import Distribution
+
+# Each draw holds a float64 uniform and an int64 outcome at once, so 10**8
+# draws already need 1.6 GB.
+SAMPLE_CAP = 10**8
 
 
 def check_fidelity(value: float) -> float:
@@ -84,6 +89,10 @@ def sample(dist: Distribution, seed: int, count: int) -> dict[int, int]:
     check_seed(seed)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if count > SAMPLE_CAP:
+        raise CapExceeded(
+            f"{count} draws need {16 * count} bytes; the cap is {SAMPLE_CAP} draws"
+        )
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random(count)
     cdf = np.cumsum(dist.probs)

@@ -18,9 +18,11 @@ so p_correct <= 1/2 + k*F/2: with fidelity F, even k copies and the best
 measurement only beat coin flipping by k*F/2.  bound_chain evaluates every
 line of that chain numerically and reports both sides of each.
 
-Trace norms are computed from eigendecompositions of Hermitian
-differences, so tensor powers are capped at 12 total qubits (a 4096x4096
-eigenproblem).
+Because rho0 = I/2**n commutes with everything, rho1^(x)k - rho0^(x)k is
+diagonal in the k-fold product eigenbasis of rho: its eigenvalues are the
+k-fold products of mu = F*spec(rho) + (1-F)/2**n, less 2**(-n*k).  So the
+k-copy norm needs one 2**n x 2**n eigvalsh plus a vector of 2**(k*n)
+products, and POWER_CAP bounds the length of that vector.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .errors import CapExceeded
 from .statevector import StateVector
 from .tolerances import EIG_FLOOR, EXACT_TOL, ORACLE_TOL
 
-# k copies of an n-qubit state live on k*n qubits; past 12 the
-# eigendecompositions stop being interactive.
-POWER_CAP = 12
+# k copies of an n-qubit state live on k*n qubits; the k-copy spectrum
+# holds one float64 per basis state, so 22 qubits is 32 MiB.
+POWER_CAP = 22
 
 
 @dataclass(frozen=True)
@@ -112,43 +114,16 @@ def trace_norm_diff(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return _abs_eig_sum(rho.mat - sigma.mat)
 
 
-def _tensor_power(mat: np.ndarray, k: int) -> np.ndarray:
-    return reduce(np.kron, [mat] * k)
-
-
 def _check_power_cap(width: int, k: int) -> None:
     if int(k) != k or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k * width > POWER_CAP:
+    qubits = k * width
+    if qubits > POWER_CAP:
         raise CapExceeded(
-            f"{k} copies of {width} qubits is {k * width} qubits; the cap is {POWER_CAP}"
+            f"{k} copies of {width} qubits is {qubits} qubits, whose 2**{qubits} "
+            f"float64 eigenvalues need 2**{qubits + 3} bytes; the cap is "
+            f"{POWER_CAP} qubits ({8 << POWER_CAP} bytes)"
         )
-
-
-def helstrom_correct(
-    rho0: DensityMatrix,
-    rho1: DensityMatrix,
-    k: int,
-    return_projector: bool = False,
-):
-    """Best achievable success probability for k-copy discrimination:
-
-        1/2 + (1/4) * || rho0^(x)k - rho1^(x)k ||_1.
-
-    With return_projector=True also returns the optimal guess-rho1
-    projector (positive eigenspace of rho1^(x)k - rho0^(x)k); it is not
-    materialized otherwise.
-    """
-    if rho0.width != rho1.width:
-        raise ValueError(f"width mismatch: {rho0.width} vs {rho1.width}")
-    _check_power_cap(rho0.width, k)
-    diff = _tensor_power(rho1.mat, k) - _tensor_power(rho0.mat, k)
-    if not return_projector:
-        return 0.5 + 0.25 * _abs_eig_sum(diff)
-    eigvals, eigvecs = np.linalg.eigh(diff)
-    p_correct = 0.5 + 0.25 * float(np.abs(eigvals).sum())
-    positive = eigvecs[:, eigvals > 0]
-    return p_correct, positive @ positive.conj().T
 
 
 @dataclass(frozen=True)
@@ -180,8 +155,9 @@ def bound_chain(rho: DensityMatrix, fidelity: float, k: int) -> ChainReport:
     Links, in order (equalities checked within ORACLE_TOL, inequalities
     allowed the same slack):
 
-    1. helstrom_value: success of the explicit optimal measurement equals
-       1/2 + (1/4) * ||rho0^k - rho1^k||_1 (two independent routes).
+    1. helstrom_value: success of the optimal projective measurement,
+       1/2 + (1/2) * (positive part of the spectrum), equals
+       1/2 + (1/4) * ||rho0^k - rho1^k||_1.
     2. tensor_subadditivity: ||rho0^k - rho1^k||_1 <= k * ||rho0 - rho1||_1.
     3. noise_scaling: ||rho0 - rho1||_1 = F * ||rho - I/2**n||_1.
     4. distance_cap: ||rho - I/2**n||_1 <= 2.
@@ -193,22 +169,20 @@ def bound_chain(rho: DensityMatrix, fidelity: float, k: int) -> ChainReport:
     mixed = np.eye(d) / d
     noisy = f * rho.mat + (1.0 - f) * mixed
 
-    base_norm = _abs_eig_sum(rho.mat - mixed)
+    spectrum = np.linalg.eigvalsh(rho.mat)
+    base_norm = float(np.abs(spectrum - 1.0 / d).sum())
     single_norm = _abs_eig_sum(noisy - mixed)
 
-    big0 = _tensor_power(mixed, k)
-    big1 = _tensor_power(noisy, k)
-    eigvals, eigvecs = np.linalg.eigh(big1 - big0)
-    k_norm = float(np.abs(eigvals).sum())
+    # Eigenvalues of rho1^(x)k - rho0^(x)k: every k-fold product of the
+    # noisy spectrum mu, less the d**-k that I/d**k adds on the diagonal.
+    mu = f * spectrum + (1.0 - f) / d
+    delta = reduce(np.multiply.outer, [mu] * int(k)).ravel() - float(d) ** -k
+    # Link 1's measured side: guessing rho1 on the positive eigenspace
+    # succeeds with 1/2 + (1/2) * (sum of positive eigenvalues), which
+    # equals the Helstrom value only if the spectrum sums to 0.
+    measured = 0.5 + 0.5 * float(delta.sum(where=delta > 0))
+    k_norm = float(np.abs(delta, out=delta).sum())
     p_correct = 0.5 + 0.25 * k_norm
-
-    # Independent route for link 1: actually measure with the optimal
-    # projector and add up the success terms.
-    positive = eigvecs[:, eigvals > 0]
-    projector = positive @ positive.conj().T
-    hit1 = float(np.trace(projector @ big1).real)
-    hit0 = 1.0 - float(np.trace(projector @ big0).real)
-    measured = 0.5 * (hit1 + hit0)
 
     links = (
         ChainLink("helstrom_value", measured, p_correct, abs(measured - p_correct) <= ORACLE_TOL),

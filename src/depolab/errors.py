@@ -18,5 +18,6 @@ class CapExceeded(RuntimeError):
 
     Exact enumeration is the whole point of this package, so instead of
     silently thrashing we refuse anything beyond the configured limits
-    (statevector width, branch enumeration, tensor-power dimension).
+    (statevector width, branch enumeration, tensor-power dimension, sample
+    count); the message states the bytes the request would have needed.
     """

@@ -3,7 +3,8 @@
 Everything here is deliberately written the slow, obvious way, sharing no
 code with the package internals: full 2**n x 2**n unitaries assembled by
 explicit Kronecker products, per-branch enumeration, plain-Python loops
-over outcomes, and a grid search over single-qubit measurements.
+over outcomes, a grid search over single-qubit measurements, and dense
+k-copy tensor powers measured with an explicit projector.
 """
 
 from __future__ import annotations
@@ -109,3 +110,21 @@ def bloch_grid_best(rho0, rho1, n_theta: int = 20, n_phi: int = 40) -> float:
 
 def brute_trace_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def brute_helstrom(rho0, rho1, k: int) -> tuple[float, float]:
+    """k-copy discrimination of two density matrices on the dense tensor
+    powers: (1/2 + (1/4) * || rho1^(x)k - rho0^(x)k ||_1 from a full eigh,
+    success of measuring with the projector onto its positive eigenspace).
+
+    Costs a (d**k x d**k) eigh, so keep k * width <= 8.
+    """
+    big0 = reduce(np.kron, [rho0] * k)
+    big1 = reduce(np.kron, [rho1] * k)
+    eigvals, eigvecs = np.linalg.eigh(big1 - big0)
+    p_correct = 0.5 + 0.25 * float(np.abs(eigvals).sum())
+    positive = eigvecs[:, eigvals > 0]
+    projector = positive @ positive.conj().T
+    hit1 = float(np.trace(projector @ big1).real)
+    hit0 = 1.0 - float(np.trace(projector @ big0).real)
+    return p_correct, 0.5 * (hit1 + hit0)

@@ -176,6 +176,15 @@ class TestErrorPaths:
         assert main(["simulate", "--circuit", str(path)]) == 4
         assert "cap exceeded" in capsys.readouterr().err
 
+    def test_tensor_power_cap_exits_four(self, capsys):
+        assert main(["discriminate", "--w", "5", "--k", "5"]) == 4
+        assert "2**28 bytes" in capsys.readouterr().err
+
+    def test_sample_cap_exits_four(self, capsys, bell_path):
+        argv = ["depolarize", "--circuit", bell_path, "--samples", "10000000000"]
+        assert main(argv) == 4
+        assert "160000000000 bytes" in capsys.readouterr().err
+
     def test_missing_circuit_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from depolab import (
+    CapExceeded,
     Distribution,
     additive_certificate,
     check_fidelity,
@@ -12,6 +13,7 @@ from depolab import (
     output_distribution,
     sample,
 )
+from depolab.depol import SAMPLE_CAP
 from oracles import brute_additive_l1, brute_mult_worst
 from strategies import distributions, fidelities, low_fidelities, seeds
 
@@ -95,6 +97,10 @@ class TestSample:
     def test_count_positive(self):
         with pytest.raises(ValueError, match="count"):
             sample(point2, 0, 0)
+
+    def test_count_capped(self):
+        with pytest.raises(CapExceeded, match=f"{16 * (SAMPLE_CAP + 1)} bytes"):
+            sample(point2, 0, SAMPLE_CAP + 1)
 
 
 class TestAdditiveCertificate:

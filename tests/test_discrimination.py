@@ -11,14 +11,15 @@ from depolab import (
     density_from_pure,
     depolarize,
     depolarize_density,
-    helstrom_correct,
     maximally_mixed,
     output_distribution,
     random_density_matrix,
     run,
     trace_norm_diff,
 )
-from oracles import bloch_grid_best, brute_trace_norm
+from depolab.tolerances import ORACLE_TOL
+from oracles import bloch_grid_best, brute_helstrom, brute_trace_norm
+from strategies import seeds
 
 S2 = 2.0**-0.5
 
@@ -111,41 +112,70 @@ class TestTraceNorm:
 
 class TestHelstrom:
     def test_identical_states_coin_flip(self):
-        assert helstrom_correct(maximally_mixed(1), maximally_mixed(1), 1) == pytest.approx(0.5)
+        assert bound_chain(maximally_mixed(1), 0.5, 1).p_correct == pytest.approx(0.5)
 
     def test_reference_point(self):
         # rho1 = diag(3/4, 1/4), rho0 = I/2: ||diff||_1 = 1/2, p = 0.625
-        rho1 = depolarize_density(zero_density(), 0.5)
-        assert helstrom_correct(maximally_mixed(1), rho1, 1) == pytest.approx(0.625, abs=1e-12)
+        assert bound_chain(zero_density(), 0.5, 1).p_correct == pytest.approx(0.625, abs=1e-12)
 
     def test_orthogonal_states_certain(self):
-        assert helstrom_correct(zero_density(), one_density(), 1) == pytest.approx(1.0, abs=1e-12)
+        p_correct, measured = brute_helstrom(zero_density().mat, one_density().mat, 1)
+        assert p_correct == pytest.approx(1.0, abs=1e-12)
+        assert measured == pytest.approx(1.0, abs=1e-12)
 
     def test_more_copies_help(self):
-        rho1 = depolarize_density(zero_density(), 0.25)
-        values = [helstrom_correct(maximally_mixed(1), rho1, k) for k in (1, 2, 3)]
+        values = [bound_chain(zero_density(), 0.25, k).p_correct for k in (1, 2, 3)]
         assert values[0] < values[1] < values[2]
 
     def test_projector_route_agrees(self):
-        rho1 = depolarize_density(random_density_matrix(1, 3), 0.5)
-        p, projector = helstrom_correct(maximally_mixed(1), rho1, 2, return_projector=True)
-        big0 = np.kron(maximally_mixed(1).mat, maximally_mixed(1).mat)
-        big1 = np.kron(rho1.mat, rho1.mat)
-        hit1 = np.trace(projector @ big1).real
-        hit0 = 1.0 - np.trace(projector @ big0).real
-        assert 0.5 * (hit0 + hit1) == pytest.approx(p, abs=1e-12)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="width mismatch"):
-            helstrom_correct(maximally_mixed(1), maximally_mixed(2), 1)
+        rho = random_density_matrix(1, 3)
+        p, measured = brute_helstrom(maximally_mixed(1).mat, depolarize_density(rho, 0.5).mat, 2)
+        assert measured == pytest.approx(p, abs=1e-12)
+        assert bound_chain(rho, 0.5, 2).p_correct == pytest.approx(p, abs=1e-12)
 
     def test_power_cap(self):
-        with pytest.raises(CapExceeded, match="cap"):
-            helstrom_correct(maximally_mixed(3), maximally_mixed(3), 5)
+        # 25 qubits of float64 eigenvalues: 2**25 * 8 = 2**28 bytes.
+        with pytest.raises(CapExceeded, match=r"2\*\*28 bytes; the cap is 22 qubits"):
+            bound_chain(maximally_mixed(5), 0.5, 5)
 
     def test_k_validated(self):
         with pytest.raises(ValueError, match="positive integer"):
-            helstrom_correct(maximally_mixed(1), maximally_mixed(1), 0)
+            bound_chain(maximally_mixed(1), 0.5, 0)
+
+
+@st.composite
+def chain_cases(draw):
+    """(rho, F, k) with k * width <= 8, so the dense oracle stays cheap."""
+    width = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8 // width))
+    rank = draw(st.sampled_from([1, None]))
+    rho = random_density_matrix(width, draw(seeds), rank=rank)
+    return rho, draw(st.sampled_from([0.5, 0.0625, 0.00390625])), k
+
+
+class TestSpectralRouteMatchesDenseOracle:
+    @given(chain_cases())
+    @settings(max_examples=60)
+    def test_every_link_matches_oracle(self, case):
+        rho, f, k = case
+        d = 1 << rho.width
+        mixed = np.eye(d) / d
+        noisy = f * rho.mat + (1.0 - f) * mixed
+        p_correct, measured = brute_helstrom(mixed, noisy, k)
+        single, _ = brute_helstrom(mixed, noisy, 1)
+        expected = {
+            "helstrom_value": measured,
+            "tensor_subadditivity": 4.0 * (p_correct - 0.5),
+            "noise_scaling": 4.0 * (single - 0.5),
+            "distance_cap": brute_trace_norm(rho.mat, mixed),
+            "correctness_cap": p_correct,
+        }
+        report = bound_chain(rho, f, k)
+        assert report.all_passed
+        assert abs(report.p_correct - p_correct) <= ORACLE_TOL
+        assert [link.name for link in report.links] == list(expected)
+        for link in report.links:
+            assert abs(link.lhs - expected[link.name]) <= ORACLE_TOL, link
 
 
 class TestBoundChain:
@@ -205,7 +235,12 @@ class TestBoundChain:
 
     def test_power_cap(self):
         with pytest.raises(CapExceeded):
-            bound_chain(random_density_matrix(3, 1), 0.5, 5)
+            bound_chain(random_density_matrix(5, 1), 0.5, 5)
+
+    def test_power_cap_is_inclusive(self):
+        # 11 copies of 2 qubits is exactly the 22-qubit cap: a 32 MiB vector.
+        report = bound_chain(random_density_matrix(2, 1), 0.0625, 11)
+        assert report.all_passed
 
 
 class TestHelstromOptimality:
@@ -216,13 +251,13 @@ class TestHelstromOptimality:
         rho1 = depolarize_density(rho, f)
         rho0 = maximally_mixed(1)
         best = bloch_grid_best(rho0.mat, rho1.mat)
-        assert best <= helstrom_correct(rho0, rho1, 1) + 1e-9
+        assert best <= bound_chain(rho, f, 1).p_correct + 1e-9
 
     def test_grid_on_pure_state(self):
         rho1 = depolarize_density(zero_density(), 0.5)
         rho0 = maximally_mixed(1)
         best = bloch_grid_best(rho0.mat, rho1.mat)
-        helstrom = helstrom_correct(rho0, rho1, 1)
+        helstrom = bound_chain(zero_density(), 0.5, 1).p_correct
         assert best <= helstrom + 1e-9
         # the optimum here is the computational-basis measurement, which
         # the grid contains (theta = 0), so it is actually attained
