@@ -9,7 +9,7 @@ depolarization, and evaluates how little k copies help in distinguishing
 the depolarized state from pure noise.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .circuits import (
     Circuit,
@@ -58,7 +58,6 @@ from .errors import CapExceeded, CircuitParseError
 from .statevector import (
     Distribution,
     StateVector,
-    apply_gate,
     output_distribution,
     run,
     width_cap,
@@ -81,7 +80,6 @@ __all__ = [
     "StateVector",
     "ThresholdReport",
     "additive_certificate",
-    "apply_gate",
     "bound_chain",
     "build_randomized_circuit",
     "check_fidelity",

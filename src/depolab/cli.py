@@ -24,7 +24,7 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .circuits import outcome_string, parse_circuit
@@ -172,19 +172,7 @@ def _run_sbp_gap(config: ExperimentConfig) -> tuple[dict, bool]:
     all_ok = True
     for f in config.fidelity_grid:
         report = sbp_thresholds(config.r, config.w, config.m, f, config.epsilon)
-        entries.append(
-            {
-                "r": report.r,
-                "w": report.w,
-                "m": report.m,
-                "fidelity": report.fidelity,
-                "epsilon": report.epsilon,
-                "yes_lower": report.yes_lower,
-                "no_upper": report.no_upper,
-                "ratio": report.ratio,
-                "sbp_ok": report.sbp_ok,
-            }
-        )
+        entries.append(asdict(report))
         all_ok = all_ok and report.sbp_ok
     return {"per_fidelity": entries}, all_ok
 
@@ -205,10 +193,7 @@ def _run_discriminate(config: ExperimentConfig) -> tuple[dict, bool]:
             {
                 "fidelity": f,
                 "p_correct": report.p_correct,
-                "links": [
-                    {"name": l.name, "lhs": l.lhs, "rhs": l.rhs, "passed": l.passed}
-                    for l in report.links
-                ],
+                "links": [asdict(link) for link in report.links],
             }
         )
         all_passed = all_passed and report.all_passed
@@ -302,17 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig(subcommand=args.subcommand)
-    overrides = {
-        "circuit_path": getattr(args, "circuit", None),
-        "fidelity_grid": args.fidelity,
-        "seed": args.seed,
-        "out_path": args.out,
-    }
-    for field in ("samples", "k", "r", "w", "m", "epsilon"):
-        if hasattr(args, field):
-            overrides[field] = getattr(args, field)
-    return replace(config, **overrides)
+    renamed = {"circuit": "circuit_path", "fidelity": "fidelity_grid", "out": "out_path"}
+    return ExperimentConfig(**{renamed.get(k, k): v for k, v in vars(args).items()})
 
 
 def main(argv: list[str] | None = None) -> int:

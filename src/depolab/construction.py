@@ -35,6 +35,7 @@ rather than asserted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -118,28 +119,26 @@ def mixture_distribution(rc: RandomizedCircuit) -> Distribution:
     """Exact outcome distribution of the randomized circuit.
 
     Full-register outcome index: main-register bits are low, ancilla j is
-    bit main_width + j.  Enumerates all 2**m branches by doubling a batch
-    of statevectors once per step, so the work is one gate application per
-    (step, branch-prefix) rather than a fresh simulation per branch.
+    bit main_width + j.  Row alpha of one (2**m, 2**w) buffer ends as the
+    state of branch string alpha: step j copies rows [0, 2**j) into
+    [2**j, 2**(j+1)), then applies the intended gate to the first block and
+    the alternate to the copy.  That is one gate application per (step,
+    branch prefix) rather than a fresh simulation per branch.
     """
     w, m = rc.main_width, rc.ancilla_width
+    need = f"2**{w + m + 4} bytes of amplitudes"
     if m > BRANCH_CAP:
-        raise CapExceeded(f"{m} steps means 2**{m} branches; the cap is {BRANCH_CAP}")
+        raise CapExceeded(f"{m} steps means 2**{m} branches, {need}; the cap is {BRANCH_CAP}")
     cap = width_cap()
     if w + m > cap:
-        raise CapExceeded(
-            f"total width {w + m} exceeds the cap of {cap} qubits"
-        )
-    states = np.zeros((1, 1 << w), dtype=np.complex128)
+        raise CapExceeded(f"total width {w + m} exceeds the cap of {cap} qubits ({need})")
+    states = np.zeros((1 << m, 1 << w), dtype=np.complex128)
     states[0, 0] = 1.0
-    for primary, alternate in rc.steps:
-        heads = states.copy()
+    for j, (primary, alternate) in enumerate(rc.steps):
+        heads, tails = states[: 1 << j], states[1 << j : 2 << j]
+        tails[...] = heads
         _apply_gate_inplace(heads, primary, w)
-        tails = states.copy()
         _apply_gate_inplace(tails, alternate, w)
-        # Row index accumulates branch bits little-endian: the new bit is
-        # the current step's coin, so tails rows land in the upper half.
-        states = np.concatenate([heads, tails], axis=0)
     probs = (np.abs(states) ** 2).ravel() / (1 << m)
     return Distribution(w + m, probs)
 
@@ -175,7 +174,8 @@ def depolarized_acceptance(rc: RandomizedCircuit, fidelity: float) -> float:
     f = check_fidelity(fidelity)
     q = abs(zero_overlap(rc.primary_circuit())) ** 2
     m, n = rc.ancilla_width, rc.total_width
-    return f * q / (1 << m) + (1.0 - f) / (1 << n)
+    # Exact scaling by 2**-m, like a division, but 0 where 2**m overflows.
+    return math.ldexp(f * q, -m) + math.ldexp(1.0 - f, -n)
 
 
 @dataclass(frozen=True)

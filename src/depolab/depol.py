@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .statevector import Distribution
+from .statevector import Distribution, _within
+from .tolerances import EXACT_TOL
 
 # Each draw holds a float64 uniform and an int64 outcome at once, so 10**8
 # draws already need 1.6 GB.
@@ -77,7 +78,9 @@ def depolarize(dist: Distribution, fidelity: float) -> Distribution:
     """Apply global depolarization at the given fidelity."""
     f = check_fidelity(fidelity)
     uniform = (1.0 - f) / (1 << dist.width)
-    return Distribution(dist.width, f * dist.probs + uniform)
+    # The map scales the input's drift from unit sum by F, so allow that drift.
+    drift = abs(float(dist.probs.sum()) - 1.0)
+    return _within(Distribution, dist.width, f * dist.probs + uniform, EXACT_TOL + drift)
 
 
 def sample(dist: Distribution, seed: int, count: int) -> dict[int, int]:

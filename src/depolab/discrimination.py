@@ -27,7 +27,7 @@ products, and POWER_CAP bounds the length of that vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -44,10 +44,12 @@ POWER_CAP = 22
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated density matrix: Hermitian, unit trace, PSD up to slack."""
+    """A validated density matrix: Hermitian, unit trace, PSD up to slack.
+    spectrum keeps the ascending eigenvalues the PSD check computed."""
 
     width: int
     mat: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = 1 << self.width
@@ -59,11 +61,14 @@ class DensityMatrix:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > EXACT_TOL:
             raise ValueError(f"trace is {trace!r}, not 1 within {EXACT_TOL}")
-        smallest = float(np.linalg.eigvalsh(mat).min())
+        spectrum = np.linalg.eigvalsh(mat)
+        smallest = float(spectrum.min())
         if smallest < EIG_FLOOR:
             raise ValueError(f"eigenvalue {smallest!r} below {EIG_FLOOR}")
         mat.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "spectrum", spectrum)
 
 
 def density_from_pure(state: StateVector) -> DensityMatrix:
@@ -169,13 +174,12 @@ def bound_chain(rho: DensityMatrix, fidelity: float, k: int) -> ChainReport:
     mixed = np.eye(d) / d
     noisy = f * rho.mat + (1.0 - f) * mixed
 
-    spectrum = np.linalg.eigvalsh(rho.mat)
-    base_norm = float(np.abs(spectrum - 1.0 / d).sum())
+    base_norm = float(np.abs(rho.spectrum - 1.0 / d).sum())
     single_norm = _abs_eig_sum(noisy - mixed)
 
     # Eigenvalues of rho1^(x)k - rho0^(x)k: every k-fold product of the
     # noisy spectrum mu, less the d**-k that I/d**k adds on the diagonal.
-    mu = f * spectrum + (1.0 - f) / d
+    mu = f * rho.spectrum + (1.0 - f) / d
     delta = reduce(np.multiply.outer, [mu] * int(k)).ravel() - float(d) ** -k
     # Link 1's measured side: guessing rho1 on the positive eigenspace
     # succeeds with 1/2 + (1/2) * (sum of positive eigenvalues), which

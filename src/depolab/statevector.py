@@ -1,11 +1,12 @@
 """Dense statevector simulation.
 
 Amplitudes live in a flat complex128 array of length 2**width; qubit q is
-bit q of the array index (qubit 0 = least significant).  Gates are applied
-by pairing indices that differ only in the target bit and mixing each pair
-with the 2x2 gate matrix, the usual bit-masked update.  The kernels accept
-any array whose last axis is the amplitude index, so a batch of states can
-be advanced with one call.
+bit q of the array index (qubit 0 = least significant).  The kernel views
+that array, without copying, with one length-2 axis per qubit (qubit q is
+axis -1-q) and updates the halves along the target axis in place: a 2x2
+matrix mixes them, or CNOT swaps them where the control is 1.  Any
+C-contiguous array whose last axis is the amplitude index works, so a
+batch of states advances in one call.
 
 No approximation anywhere: simulation is exact up to float round-off, and
 widths are capped (default 24 qubits, env override DEPOLAB_MAX_QUBITS,
@@ -27,6 +28,14 @@ DEFAULT_WIDTH_CAP = 24
 HARD_WIDTH_CAP = 26
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+# Round-off bound per kernel step on the drift of sum |amplitude|^2, and so
+# of the norm.  Each amplitude becomes U[0,0]*a + U[0,1]*b: two complex
+# products, each within sqrt(5)*u (u = eps/2), and a complex sum within u.
+# A pair moves by at most (sqrt(10) + 1)*u of its norm, as |U| has norm
+# <= sqrt(2), plus sqrt(2)*u from the rounded entries of H and T: 5.58*u
+# on the norm, 11.2*u on its square, under 12*u = 6*eps.
+GATE_ROUNDOFF = 6.0 * np.finfo(np.float64).eps
 
 GATE_MATRICES = {
     "H": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex),
@@ -60,15 +69,18 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amps, dtype=np.complex128)
+        self._check(self.amps, EXACT_TOL)
+
+    def _check(self, amps: np.ndarray, tol: float) -> None:
+        amps = np.array(amps, dtype=np.complex128)
         if amps.shape != (1 << self.width,):
             raise ValueError(
                 f"expected {1 << self.width} amplitudes for width {self.width}, "
                 f"got shape {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > EXACT_TOL:
-            raise ValueError(f"state norm {norm!r} is not 1 within {EXACT_TOL}")
+        if abs(norm - 1.0) > tol:
+            raise ValueError(f"state norm {norm!r} is not 1 within {tol}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -81,7 +93,10 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64)
+        self._check(self.probs, EXACT_TOL)
+
+    def _check(self, probs: np.ndarray, tol: float) -> None:
+        probs = np.array(probs, dtype=np.float64)
         if probs.shape != (1 << self.width,):
             raise ValueError(
                 f"expected {1 << self.width} probabilities for width {self.width}, "
@@ -90,45 +105,51 @@ class Distribution:
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
-        if abs(total - 1.0) > EXACT_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1 within {EXACT_TOL}")
+        if abs(total - 1.0) > tol:
+            raise ValueError(f"probabilities sum to {total!r}, not 1 within {tol}")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
 
-def _pairs_1q(width: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    # All indices with the qubit bit clear, paired with the bit set.
-    x = np.arange(1 << (width - 1))
-    i0 = ((x >> qubit) << (qubit + 1)) | (x & ((1 << qubit) - 1))
-    return i0, i0 | (1 << qubit)
+def _within(cls, width: int, values: np.ndarray, tol: float):
+    """A StateVector or Distribution whose norm or sum is checked within
+    tol instead of EXACT_TOL, for arrays with a known round-off bound."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "width", width)
+    obj._check(values, tol)
+    return obj
 
 
-def _pairs_cnot(width: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    # All indices with control set and target clear, paired with target set.
-    lo, hi = sorted((control, target))
-    x = np.arange(1 << (width - 2))
-    y = ((x >> lo) << (lo + 1)) | (x & ((1 << lo) - 1))
-    z = ((y >> hi) << (hi + 1)) | (y & ((1 << hi) - 1))
-    i0 = z | (1 << control)
-    return i0, i0 | (1 << target)
+def _pinned(bits: np.ndarray, width: int, *pins: tuple[int, int]) -> np.ndarray:
+    """Writable view of bits with each (qubit, value) pin fixed; qubit q is
+    axis -1-q.  The Ellipsis keeps even a single amplitude a 0-d view."""
+    index = [slice(None)] * width
+    for qubit, value in pins:
+        index[-1 - qubit] = value
+    return bits[(..., *index)]
 
 
 def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
     """Apply one gate to amps (last axis = amplitude index), in place."""
+    if not amps.flags.c_contiguous:
+        # reshape would hand back a copy and the writes below would be lost.
+        raise ValueError("the gate kernel needs a C-contiguous amplitude array")
+    bits = amps.reshape(amps.shape[:-1] + (2,) * width)
     if gate.kind == "CNOT":
         control, target = gate.targets
-        i0, i1 = _pairs_cnot(width, control, target)
-        a = amps[..., i0]
-        amps[..., i0] = amps[..., i1]
-        amps[..., i1] = a
+        a = _pinned(bits, width, (control, 1), (target, 0))
+        b = _pinned(bits, width, (control, 1), (target, 1))
+        a_old = a.copy()
+        a[...] = b
+        b[...] = a_old
         return
     u = GATE_MATRICES[gate.kind]
     (qubit,) = gate.targets
-    i0, i1 = _pairs_1q(width, qubit)
-    a = amps[..., i0]
-    b = amps[..., i1]
-    amps[..., i0] = u[0, 0] * a + u[0, 1] * b
-    amps[..., i1] = u[1, 0] * a + u[1, 1] * b
+    a = _pinned(bits, width, (qubit, 0))
+    b = _pinned(bits, width, (qubit, 1))
+    a_new = u[0, 0] * a + u[0, 1] * b
+    b[...] = u[1, 0] * a + u[1, 1] * b
+    a[...] = a_new
 
 
 def _check_runnable(circuit: Circuit) -> None:
@@ -138,34 +159,27 @@ def _check_runnable(circuit: Circuit) -> None:
     cap = width_cap()
     if circuit.width > cap:
         raise CapExceeded(
-            f"circuit width {circuit.width} exceeds the cap of {cap} qubits"
+            f"circuit width {circuit.width} exceeds the cap of {cap} qubits; its "
+            f"2**{circuit.width} amplitudes need 2**{circuit.width + 4} bytes"
         )
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate and return the new state (the input is untouched)."""
-    problems = validate_circuit(Circuit(state.width, (gate,)))
-    if problems:
-        raise ValueError("invalid gate: " + "; ".join(problems))
-    amps = state.amps.copy()
-    _apply_gate_inplace(amps, gate, state.width)
-    return StateVector(state.width, amps)
-
-
 def run(circuit: Circuit) -> StateVector:
-    """Simulate the circuit from |0...0> and return the final state."""
+    """Simulate the circuit from |0...0> and return the final state, its
+    norm checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
     _check_runnable(circuit)
     amps = np.zeros(1 << circuit.width, dtype=np.complex128)
     amps[0] = 1.0
     for g in circuit.gates:
         _apply_gate_inplace(amps, g, circuit.width)
-    return StateVector(circuit.width, amps)
+    return _within(StateVector, circuit.width, amps, EXACT_TOL + GATE_ROUNDOFF * circuit.m)
 
 
 def output_distribution(circuit: Circuit) -> Distribution:
     """Exact sampling distribution of the circuit: |amplitude|^2 per outcome."""
     state = run(circuit)
-    return Distribution(circuit.width, np.abs(state.amps) ** 2)
+    tol = EXACT_TOL + GATE_ROUNDOFF * circuit.m
+    return _within(Distribution, circuit.width, np.abs(state.amps) ** 2, tol)
 
 
 def zero_overlap(circuit: Circuit) -> complex:

@@ -95,17 +95,25 @@ def brute_mixture(rc) -> np.ndarray:
 
 def bloch_grid_best(rho0, rho1, n_theta: int = 20, n_phi: int = 40) -> float:
     """Best success probability over a grid of single-qubit projective
-    measurements (both guess assignments tried for each)."""
-    best = 0.0
-    for theta in np.linspace(0.0, np.pi, n_theta):
-        for phi in np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False):
-            v = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-            pi0 = np.outer(v, v.conj())
-            pi1 = np.eye(2, dtype=complex) - pi0
-            one_way = 0.5 * (np.trace(pi0 @ rho0) + np.trace(pi1 @ rho1)).real
-            other = 0.5 * (np.trace(pi1 @ rho0) + np.trace(pi0 @ rho1)).real
-            best = max(best, one_way, other)
-    return best
+    measurements (both guess assignments tried for each).
+
+    The whole grid is evaluated at once: pi0 holds one projector |v><v|
+    per (theta, phi) point, pi1 = I - pi0 its complement.
+    """
+    theta = np.linspace(0.0, np.pi, n_theta)[:, None]
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[None, :]
+    v = np.stack(
+        np.broadcast_arrays(np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)), axis=-1
+    )
+    pi0 = v[..., :, None] * v[..., None, :].conj()
+    pi1 = np.eye(2, dtype=complex) - pi0
+
+    def trace_of_product(pi, rho):
+        return np.einsum("...ij,ji->...", pi, rho).real
+
+    one_way = 0.5 * (trace_of_product(pi0, rho0) + trace_of_product(pi1, rho1))
+    other = 0.5 * (trace_of_product(pi1, rho0) + trace_of_product(pi0, rho1))
+    return float(max(one_way.max(), other.max(), 0.0))
 
 
 def brute_trace_norm(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from depolab import __version__
+from depolab import __version__, random_circuit, serialize_circuit
 from depolab.cli import ExperimentConfig, main, run_experiment
 
 BELL = "qubits 2\nH 0\nCNOT 0 1\n"
@@ -189,6 +190,24 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def long_path(tmp_path_factory):
+    # 10**5 gates on one qubit: round-off moves the norm by about 1.8e-12,
+    # past EXACT_TOL but far inside run's bound of 6 * eps per gate.
+    circuit = random_circuit(1, 10**5, np.random.Generator(np.random.Philox(key=0)))
+    path = tmp_path_factory.mktemp("long") / "long.qc"
+    path.write_text(serialize_circuit(circuit))
+    return str(path)
+
+
+class TestRoundOffDrift:
+    @pytest.mark.parametrize("subcommand", ["simulate", "certify"])
+    def test_long_circuit_reports(self, capsys, long_path, subcommand):
+        code, report = run_cli(capsys, [subcommand, "--circuit", long_path, "--fidelity", "0.5,1"])
+        assert code == 0
+        assert report["results"]["width"] == 1
 
 
 class TestReproducibility:

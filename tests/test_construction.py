@@ -120,13 +120,13 @@ class TestMixture:
 
     def test_branch_cap(self):
         wide = Circuit(1, tuple(H0 for _ in range(21)))
-        with pytest.raises(CapExceeded, match="branches"):
+        with pytest.raises(CapExceeded, match=r"branches, 2\*\*26 bytes"):
             mixture_distribution(build_randomized_circuit(wide))
 
     def test_total_width_cap(self, monkeypatch):
         monkeypatch.setenv("DEPOLAB_MAX_QUBITS", "8")
         rc = rc_from("qubits 4\nH 0\nH 1\nH 2\nH 3\nH 0\n")  # 4 + 5 = 9 qubits
-        with pytest.raises(CapExceeded, match="total width"):
+        with pytest.raises(CapExceeded, match=r"total width 9 .*2\*\*13 bytes"):
             mixture_distribution(rc)
 
 

@@ -64,6 +64,12 @@ class TestDensityTypes:
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.9
 
+    def test_spectrum_kept_read_only(self):
+        rho = random_density_matrix(2, 7)
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.mat))
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 0.5
+
     def test_random_density_is_valid_and_seeded(self):
         a = random_density_matrix(2, 7)
         b = random_density_matrix(2, 7)

@@ -8,14 +8,14 @@ from depolab import (
     Distribution,
     Gate,
     StateVector,
-    apply_gate,
     output_distribution,
     parse_circuit,
     run,
     width_cap,
     zero_overlap,
 )
-from oracles import brute_amplitudes, brute_distribution
+from depolab.statevector import _apply_gate_inplace
+from oracles import brute_amplitudes, brute_distribution, dense_unitary
 from strategies import circuits
 
 S2 = 2.0**-0.5
@@ -27,37 +27,42 @@ def plus_state():
 
 class TestApplyGate:
     def test_hadamard(self):
-        state = run(Circuit(1, ()))
-        out = apply_gate(state, Gate("H", (0,)))
-        assert np.allclose(out.amps, [S2, S2], atol=1e-12)
+        assert np.allclose(run(parse_circuit("qubits 1\nH 0\n")).amps, [S2, S2], atol=1e-12)
 
     def test_x_flips(self):
-        out = apply_gate(run(Circuit(1, ())), Gate("X", (0,)))
-        assert np.allclose(out.amps, [0, 1], atol=1e-12)
+        assert np.allclose(run(parse_circuit("qubits 1\nX 0\n")).amps, [0, 1], atol=1e-12)
 
     def test_s_phase_on_plus(self):
-        out = apply_gate(plus_state(), Gate("S", (0,)))
+        out = run(parse_circuit("qubits 1\nH 0\nS 0\n"))
         assert np.allclose(out.amps, [S2, 1j * S2], atol=1e-12)
 
     def test_t_eighth_power_is_identity(self):
-        state = plus_state()
-        for _ in range(8):
-            state = apply_gate(state, Gate("T", (0,)))
-        assert np.allclose(state.amps, plus_state().amps, atol=1e-12)
+        out = run(parse_circuit("qubits 1\nH 0\n" + "T 0\n" * 8))
+        assert np.allclose(out.amps, plus_state().amps, atol=1e-12)
 
     def test_identity_gate_does_nothing(self):
-        state = plus_state()
-        assert np.allclose(apply_gate(state, Gate("I1", (0,))).amps, state.amps)
-
-    def test_input_untouched(self):
-        state = plus_state()
-        before = state.amps.copy()
-        apply_gate(state, Gate("X", (0,)))
-        assert np.array_equal(state.amps, before)
+        out = run(parse_circuit("qubits 1\nH 0\nI1 0\n"))
+        assert np.allclose(out.amps, plus_state().amps)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_gate(plus_state(), Gate("X", (3,)))
+            run(Circuit(1, (Gate("X", (3,)),)))
+
+    def test_kernel_refuses_non_contiguous(self):
+        # A strided array would be reshaped into a copy, losing the writes.
+        amps = np.zeros((2, 4), dtype=np.complex128)[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _apply_gate_inplace(amps, Gate("H", (0,)), 1)
+
+    @given(circuits(max_width=5, max_gates=12))
+    @settings(max_examples=30)
+    def test_batch_rows_advance_independently(self, circuit):
+        # Row i starts at basis state i; each row must end as U|i>.
+        d = 1 << circuit.width
+        batch = np.eye(d, dtype=np.complex128)
+        for g in circuit.gates:
+            _apply_gate_inplace(batch, g, circuit.width)
+        assert np.allclose(batch.T, dense_unitary(circuit), atol=1e-10)
 
 
 class TestRun:
@@ -138,7 +143,7 @@ class TestWidthCap:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("DEPOLAB_MAX_QUBITS", raising=False)
         assert width_cap() == 24
-        with pytest.raises(CapExceeded, match="width 25"):
+        with pytest.raises(CapExceeded, match=r"width 25.* 2\*\*29 bytes"):
             run(Circuit(25, ()))
 
     def test_env_override(self, monkeypatch):
@@ -162,6 +167,11 @@ class TestTypes:
     def test_state_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
             StateVector(1, np.array([1.0, 1.0]))
+
+    def test_direct_state_keeps_exact_tol(self):
+        # Only run/output_distribution widen the check, by their gate count.
+        with pytest.raises(ValueError, match="within 1e-12"):
+            StateVector(1, np.array([1.0 - 2e-12, 0.0]))
 
     def test_state_shape_enforced(self):
         with pytest.raises(ValueError, match="expected 4"):
