@@ -45,8 +45,8 @@ from .depol import (
 )
 from .discrimination import bound_chain, density_from_pure, random_density_matrix
 from .errors import CapExceeded, CircuitParseError
-from .reports import render_json
-from .statevector import output_distribution, run, zero_overlap
+from .reports import render_floats, render_json
+from .statevector import distribution_of, output_distribution, run, zero_overlap
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,15 @@ def _certificate_dict(report) -> dict:
 
 def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
     circuit = _load_circuit(config.circuit_path)
-    dist = output_distribution(circuit)
-    amp = zero_overlap(circuit)
+    state = run(circuit)
+    dist = distribution_of(state, circuit.m)
+    amp = complex(state.amps[0])
     results = {
         "width": circuit.width,
         "gate_count": circuit.m,
         "zero_amplitude": {"re": amp.real, "im": amp.imag},
         "zero_probability": abs(amp) ** 2,
-        "probabilities": list(dist.probs),
+        "probabilities": dist.probs,
     }
     return results, True
 
@@ -108,7 +109,7 @@ def _run_depolarize(config: ExperimentConfig) -> tuple[dict, bool]:
         entries.append(
             {
                 "fidelity": f,
-                "probabilities": list(noisy.probs),
+                "probabilities": noisy.probs,
                 "tally": {outcome_string(z, noisy.width): c for z, c in tally.items()},
                 "empirical_tv": empirical_tv(tally, noisy),
             }
@@ -144,8 +145,13 @@ def _mixture_checksum(rc) -> str | None:
         mix = mixture_distribution(rc)
     except CapExceeded:
         return None
-    payload = ",".join(format(p, ".17g") for p in mix.probs)
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    # sha256 of the mixture's .17g texts joined by commas, fed chunk by chunk.
+    digest = hashlib.sha256()
+    sep = ""
+    for texts in render_floats(mix.probs):
+        digest.update((sep + ",".join(texts)).encode("ascii"))
+        sep = ","
+    return digest.hexdigest()
 
 
 def _run_thm1(config: ExperimentConfig) -> tuple[dict, bool]:

@@ -135,11 +135,15 @@ def mixture_distribution(rc: RandomizedCircuit) -> Distribution:
     states = np.zeros((1 << m, 1 << w), dtype=np.complex128)
     states[0, 0] = 1.0
     for j, (primary, alternate) in enumerate(rc.steps):
-        heads, tails = states[: 1 << j], states[1 << j : 2 << j]
-        tails[...] = heads
-        _apply_gate_inplace(heads, primary, w)
-        _apply_gate_inplace(tails, alternate, w)
-    probs = (np.abs(states) ** 2).ravel() / (1 << m)
+        states[1 << j : 2 << j] = states[: 1 << j]
+        _apply_gate_inplace(states[: 1 << j], primary, w)
+        _apply_gate_inplace(states[1 << j : 2 << j], alternate, w)
+    # In place, so this stage holds the amplitudes plus one float64 array;
+    # the values are bit-identical to np.abs(states) ** 2 / 2**m.
+    probs = np.abs(states).ravel()
+    del states
+    np.square(probs, out=probs)
+    probs /= 1 << m
     return Distribution(w + m, probs)
 
 
@@ -213,19 +217,33 @@ def sbp_thresholds(
     eps = float(epsilon)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    yes_lower = (1.0 - eps) * f * 2.0**-m * (1.0 - 2.0**-r) ** 2
-    no_upper = 2.0**-m * (1.0 + eps) * f * (2.0 ** (-2 * r) + (1.0 - f) / (f * 2.0**w))
-    ratio = yes_lower / no_upper
+    r, w, m = int(r), int(w), int(m)
+    # (1 - F) / (F * 2**w), split so that no factor leaves the float range
+    # once w passes 1023.
+    head = min(w, 1023)
+    noise = math.ldexp((1.0 - f) / math.ldexp(f, head), head - w)
+    promise = math.ldexp(1.0, -2 * r) + noise
+    # Both sides carry 2**-m, so ratio and sbp_ok come from the m-free
+    # factors; scaling by a power of two is exact while both sides are
+    # normal floats, and math.ldexp gives 0 rather than an error past that.
+    yes_acc = (1.0 - math.ldexp(1.0, -r)) ** 2
+    yes_core = (1.0 - eps) * f * yes_acc
+    no_core = (1.0 + eps) * f * promise
+    ratio = yes_core / no_core if no_core else math.inf
+    if not (math.isfinite(ratio) and math.isfinite(no_core)):
+        raise ValueError(f"r={r}, w={w}, F={f!r} put the thresholds outside the float range")
+    yes_lower = math.ldexp((1.0 - eps) * f, -m) * yes_acc
+    no_upper = math.ldexp(1.0 + eps, -m) * f * promise
     return ThresholdReport(
-        r=int(r),
-        w=int(w),
-        m=int(m),
+        r=r,
+        w=w,
+        m=m,
         fidelity=f,
         epsilon=eps,
         yes_lower=yes_lower,
         no_upper=no_upper,
         ratio=ratio,
-        sbp_ok=yes_lower >= 2.0 * no_upper,
+        sbp_ok=yes_core >= 2.0 * no_core,
     )
 
 
@@ -254,5 +272,5 @@ def hardness_gap(
     f = check_fidelity(fidelity)
     if int(width) != width or width < 1:
         raise ValueError(f"width must be a positive integer, got {width!r}")
-    floor = (1.0 - f) / (1 << int(width))
+    floor = math.ldexp(1.0 - f, -int(width))
     return HardnessGap(f * a + floor, f * b + floor, f * (a - b))

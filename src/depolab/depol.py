@@ -102,8 +102,9 @@ def sample(dist: Distribution, seed: int, count: int) -> dict[int, int]:
     drawn = np.searchsorted(cdf, u, side="right")
     # cdf[-1] can round to slightly below 1; fold the sliver into the last bin.
     drawn = np.minimum(drawn, (1 << dist.width) - 1)
-    outcomes, tallies = np.unique(drawn, return_counts=True)
-    return {int(z): int(c) for z, c in zip(outcomes, tallies)}
+    tallies = np.bincount(drawn, minlength=1 << dist.width)
+    outcomes = np.flatnonzero(tallies)
+    return dict(zip(outcomes.tolist(), tallies[outcomes].tolist()))
 
 
 def additive_certificate(dist: Distribution, fidelity: float) -> CertificateReport:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .depol import check_fidelity, check_seed
 from .errors import CapExceeded
-from .statevector import StateVector
+from .statevector import StateVector, _within
 from .tolerances import EIG_FLOOR, EXACT_TOL, ORACLE_TOL
 
 # k copies of an n-qubit state live on k*n qubits; the k-copy spectrum
@@ -52,15 +52,18 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check(self.mat, EXACT_TOL)
+
+    def _check(self, mat: np.ndarray, tol: float) -> None:
         d = 1 << self.width
-        mat = np.array(self.mat, dtype=np.complex128)
+        mat = np.array(mat, dtype=np.complex128)
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix for width {self.width}, got {mat.shape}")
         if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=EXACT_TOL):
             raise ValueError("matrix is not Hermitian")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > EXACT_TOL:
-            raise ValueError(f"trace is {trace!r}, not 1 within {EXACT_TOL}")
+        if abs(trace - 1.0) > tol:
+            raise ValueError(f"trace is {trace!r}, not 1 within {tol}")
         spectrum = np.linalg.eigvalsh(mat)
         smallest = float(spectrum.min())
         if smallest < EIG_FLOOR:
@@ -72,8 +75,12 @@ class DensityMatrix:
 
 
 def density_from_pure(state: StateVector) -> DensityMatrix:
-    """Rank-one density |psi><psi| of a statevector."""
-    return DensityMatrix(state.width, np.outer(state.amps, state.amps.conj()))
+    """Rank-one density |psi><psi| of a statevector.  Its trace is the
+    squared norm, so it is checked within EXACT_TOL plus the state's own
+    measured drift of that norm (a simulated state may carry round-off)."""
+    drift = abs(float(np.linalg.norm(state.amps)) ** 2 - 1.0)
+    mat = np.outer(state.amps, state.amps.conj())
+    return _within(DensityMatrix, state.width, mat, EXACT_TOL + drift)
 
 
 def maximally_mixed(width: int) -> DensityMatrix:

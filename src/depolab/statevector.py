@@ -112,8 +112,9 @@ class Distribution:
 
 
 def _within(cls, width: int, values: np.ndarray, tol: float):
-    """A StateVector or Distribution whose norm or sum is checked within
-    tol instead of EXACT_TOL, for arrays with a known round-off bound."""
+    """A StateVector, Distribution or DensityMatrix whose norm, sum or
+    trace is checked within tol instead of EXACT_TOL, for arrays with a
+    known round-off bound."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "width", width)
     obj._check(values, tol)
@@ -175,11 +176,16 @@ def run(circuit: Circuit) -> StateVector:
     return _within(StateVector, circuit.width, amps, EXACT_TOL + GATE_ROUNDOFF * circuit.m)
 
 
+def distribution_of(state: StateVector, gate_count: int) -> Distribution:
+    """|amplitude|^2 per outcome of a state that gate_count gates produced,
+    its sum checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
+    tol = EXACT_TOL + GATE_ROUNDOFF * gate_count
+    return _within(Distribution, state.width, np.abs(state.amps) ** 2, tol)
+
+
 def output_distribution(circuit: Circuit) -> Distribution:
     """Exact sampling distribution of the circuit: |amplitude|^2 per outcome."""
-    state = run(circuit)
-    tol = EXACT_TOL + GATE_ROUNDOFF * circuit.m
-    return _within(Distribution, circuit.width, np.abs(state.amps) ** 2, tol)
+    return distribution_of(run(circuit), circuit.m)
 
 
 def zero_overlap(circuit: Circuit) -> complex:

@@ -3,12 +3,14 @@
 Everything here is deliberately written the slow, obvious way, sharing no
 code with the package internals: full 2**n x 2**n unitaries assembled by
 explicit Kronecker products, per-branch enumeration, plain-Python loops
-over outcomes, a grid search over single-qubit measurements, and dense
-k-copy tensor powers measured with an explicit projector.
+over outcomes, a grid search over single-qubit measurements, dense
+k-copy tensor powers measured with an explicit projector, and a checksum
+that formats every float on its own.
 """
 
 from __future__ import annotations
 
+import hashlib
 from functools import reduce
 
 import numpy as np
@@ -136,3 +138,9 @@ def brute_helstrom(rho0, rho1, k: int) -> tuple[float, float]:
     hit1 = float(np.trace(projector @ big1).real)
     hit0 = 1.0 - float(np.trace(projector @ big0).real)
     return p_correct, 0.5 * (hit1 + hit0)
+
+
+def brute_checksum(probs) -> str:
+    """sha256 of every probability's .17g text, joined by commas."""
+    payload = ",".join(format(p, ".17g") for p in probs)
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()

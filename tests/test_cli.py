@@ -5,8 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from depolab import __version__, random_circuit, serialize_circuit
-from depolab.cli import ExperimentConfig, main, run_experiment
+from depolab import (
+    __version__,
+    build_randomized_circuit,
+    mixture_distribution,
+    random_circuit,
+    serialize_circuit,
+)
+from depolab.cli import ExperimentConfig, _mixture_checksum, main, run_experiment
+from oracles import brute_checksum
 
 BELL = "qubits 2\nH 0\nCNOT 0 1\n"
 PLUS = "qubits 1\nH 0\n"
@@ -101,6 +108,16 @@ class TestThm1:
         assert len(results["mixture_checksum"]) == 64
 
 
+class TestMixtureChecksum:
+    # (w, gates): the last has 2**17 probabilities, two formatter chunks.
+    @pytest.mark.parametrize("key", range(4))
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (3, 8), (5, 12)])
+    def test_matches_naive_oracle(self, key, shape):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        rc = build_randomized_circuit(random_circuit(*shape, rng))
+        assert _mixture_checksum(rc) == brute_checksum(mixture_distribution(rc).probs)
+
+
 class TestSbpGap:
     def test_reference_parameters_pass(self, capsys):
         code, report = run_cli(capsys, ["sbp-gap"])
@@ -118,6 +135,23 @@ class TestSbpGap:
         assert code == 1
         assert report["passed"] is False
         assert report["results"]["per_fidelity"][0]["sbp_ok"] is False
+
+    @pytest.mark.parametrize("flag", ["--w", "--m", "--r"])
+    def test_huge_parameter_reports(self, capsys, flag):
+        _, base = run_cli(capsys, ["sbp-gap"])
+        code, report = run_cli(capsys, ["sbp-gap", flag, "2000"])
+        assert code == 0
+        entry = report["results"]["per_fidelity"][0]
+        assert entry[flag[2:]] == 2000
+        if flag == "--m":
+            # Both sides carry 2**-m, which cancels in the ratio.
+            assert entry["yes_lower"] == entry["no_upper"] == 0.0
+            assert entry["ratio"] == base["results"]["per_fidelity"][0]["ratio"]
+
+    @pytest.mark.parametrize("argv", [["--r", "600", "--w", "2000"], ["--fidelity", "1e-320"]])
+    def test_out_of_float_range_exits_two(self, capsys, argv):
+        assert main(["sbp-gap", *argv]) == 2
+        assert "float range" in capsys.readouterr().err
 
 
 class TestDiscriminate:
@@ -203,7 +237,7 @@ def long_path(tmp_path_factory):
 
 
 class TestRoundOffDrift:
-    @pytest.mark.parametrize("subcommand", ["simulate", "certify"])
+    @pytest.mark.parametrize("subcommand", ["simulate", "certify", "discriminate"])
     def test_long_circuit_reports(self, capsys, long_path, subcommand):
         code, report = run_cli(capsys, [subcommand, "--circuit", long_path, "--fidelity", "0.5,1"])
         assert code == 0

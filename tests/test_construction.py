@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,25 @@ class TestSbpThresholds:
         ratios_w = [sbp_thresholds(3, w, 4, 0.5, 0.5).ratio for w in range(1, 17)]
         assert all(a <= b for a, b in zip(ratios_w, ratios_w[1:]))
 
+    def test_ratio_free_of_m(self):
+        base = sbp_thresholds(3, 10, 4, 0.5, 0.5)
+        for m in (1, 100, 1100, 5000):
+            report = sbp_thresholds(3, 10, m, 0.5, 0.5)
+            assert (report.ratio, report.sbp_ok) == (base.ratio, base.sbp_ok)
+            assert report.yes_lower == math.ldexp(base.yes_lower, 4 - m)
+            assert report.no_upper == math.ldexp(base.no_upper, 4 - m)
+
+    def test_huge_width(self):
+        report = sbp_thresholds(3, 2000, 4, 0.5, 0.5)
+        assert report.no_upper == 1.5 * 0.5 * 2.0**-4 * 2.0**-6
+        assert report.ratio == pytest.approx(49 / 3, rel=1e-15)
+
+    # no_upper underflows to 0, overflows, or the ratio overflows.
+    @pytest.mark.parametrize("r, w, f", [(600, 2000, 0.5), (3, 10, 1e-320), (600, 1050, 0.5)])
+    def test_out_of_float_range_rejected(self, r, w, f):
+        with pytest.raises(ValueError, match="float range"):
+            sbp_thresholds(r, w, 4, f, 0.5)
+
     def test_yes_lower_bounds_accepting_circuits(self):
         # A circuit with q = 1 accepts as well as any promise allows, so
         # its depolarized spike must clear yes_lower at every (r, F, eps).
@@ -284,3 +305,6 @@ class TestHardnessGap:
     def test_width_validated(self):
         with pytest.raises(ValueError, match="width"):
             hardness_gap(0.9, 0.1, 0.5, 0)
+
+    def test_huge_width(self):
+        assert hardness_gap(0.75, 0.25, 0.5, 2000) == (0.375, 0.125, 0.25)

@@ -71,7 +71,10 @@ class TestSample:
         # Frozen output of the keyed Philox stream; any change here means
         # the sampling contract (platform-stable tallies) broke.
         noisy = depolarize(bell_dist, 0.5)
-        assert sample(noisy, 7, 20) == {0: 5, 1: 4, 2: 3, 3: 8}
+        tally = sample(noisy, 7, 20)
+        assert tally == {0: 5, 1: 4, 2: 3, 3: 8}
+        # Reports print the tally in key order: it must ascend.
+        assert list(tally) == [0, 1, 2, 3]
 
     def test_uniform_three_sigma(self):
         uniform = Distribution(1, np.array([0.5, 0.5]))

@@ -17,6 +17,7 @@ from depolab import (
     run,
     trace_norm_diff,
 )
+from depolab.statevector import _within
 from depolab.tolerances import ORACLE_TOL
 from oracles import bloch_grid_best, brute_helstrom, brute_trace_norm
 from strategies import seeds
@@ -42,6 +43,15 @@ class TestDensityTypes:
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
         assert np.allclose(rho.mat, expected, atol=1e-12)
+
+    def test_from_pure_allows_the_state_drift(self):
+        # A simulated state may be off unit norm by its gates' round-off;
+        # its density inherits that trace drift.
+        amps = np.array([1.0 + 3e-12, 0.0])
+        state = _within(StateVector, 1, amps, 1e-11)
+        assert density_from_pure(state).mat[0, 0] == (1.0 + 3e-12) ** 2
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(1, np.outer(amps, amps))
 
     def test_maximally_mixed(self):
         rho = maximally_mixed(2)

@@ -1,0 +1,61 @@
+import math
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from depolab.reports import FLOAT_CHUNK, _render_float, render_floats, render_json
+
+# Finite floats, with the awkward ones drawn often: both zeros, subnormals
+# and a few repeats, so chunks share and split runs of equal values.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+awkward = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 0.1, 1.0, -1.0])
+float_arrays = st.lists(st.one_of(awkward, finite), max_size=40).map(
+    lambda xs: np.array(xs, dtype=np.float64)
+)
+
+
+def flatten(chunks):
+    return [text for texts in chunks for text in texts]
+
+
+class TestRenderFloats:
+    @given(float_arrays, st.integers(1, 9))
+    @settings(max_examples=300)
+    def test_matches_format_per_entry(self, arr, chunk):
+        chunks = list(render_floats(arr, chunk))
+        assert flatten(chunks) == [format(x, ".17g") for x in arr]
+        assert [len(texts) for texts in chunks] == [
+            min(chunk, len(arr) - start) for start in range(0, len(arr), chunk)
+        ]
+
+    def test_default_chunk_boundary(self):
+        arr = np.zeros(FLOAT_CHUNK + 3)
+        arr[FLOAT_CHUNK - 2 : FLOAT_CHUNK + 2] = [0.25, -0.0, 1e-300, -0.0]
+        arr[-1] = 0.25
+        chunks = list(render_floats(arr))
+        assert [len(texts) for texts in chunks] == [FLOAT_CHUNK, 3]
+        assert flatten(chunks) == [format(x, ".17g") for x in arr]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_like_render_float(self, bad):
+        with pytest.raises(ValueError) as expected:
+            _render_float(bad)
+        arr = np.array([0.5, 0.0, bad, 0.5, math.nan])
+        with pytest.raises(ValueError) as got:
+            list(render_floats(arr, 2))
+        assert str(got.value) == str(expected.value)
+
+
+class TestRenderJson:
+    @given(float_arrays)
+    @settings(max_examples=100)
+    def test_float_array_renders_like_list(self, arr):
+        tree = {"probabilities": arr, "nested": [arr, {"x": arr}]}
+        as_lists = {"probabilities": list(arr), "nested": [list(arr), {"x": list(arr)}]}
+        assert render_json(tree) == render_json(as_lists)
+
+    def test_other_arrays_take_the_generic_path(self):
+        assert render_json(np.array([1, 2])) == "[\n  1,\n  2\n]"
+        assert render_json(np.array([0.5], dtype=np.float32)) == "[\n  0.5\n]"
