@@ -9,7 +9,7 @@ depolarization, and evaluates how little k copies help in distinguishing
 the depolarized state from pure noise.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .circuits import (
     Circuit,
@@ -31,12 +31,12 @@ from .construction import (
     mixture_distribution,
     sample_branch,
     sbp_thresholds,
-    x_on_first_target,
 )
 from .depol import (
     CertificateReport,
     additive_certificate,
     check_fidelity,
+    check_positive_int,
     check_seed,
     depolarize,
     empirical_tv,
@@ -52,7 +52,6 @@ from .discrimination import (
     depolarize_density,
     maximally_mixed,
     random_density_matrix,
-    trace_norm_diff,
 )
 from .errors import CapExceeded, CircuitParseError
 from .statevector import (
@@ -83,6 +82,7 @@ __all__ = [
     "bound_chain",
     "build_randomized_circuit",
     "check_fidelity",
+    "check_positive_int",
     "check_seed",
     "density_from_pure",
     "depolarize",
@@ -104,9 +104,7 @@ __all__ = [
     "sample_branch",
     "sbp_thresholds",
     "serialize_circuit",
-    "trace_norm_diff",
     "validate_circuit",
     "width_cap",
-    "x_on_first_target",
     "zero_overlap",
 ]

@@ -16,6 +16,12 @@ Text format::
 The first non-comment, non-blank line must be the ``qubits <n>`` header.
 Qubit 0 is the least significant bit of an outcome index; rendered outcome
 strings print qubit 0 leftmost.
+
+Validation has one source: gate_problems holds the gate rules (kind,
+arity, target range, distinct targets).  validate_circuit lists every
+violation in a Circuit, check_circuit raises them as one ValueError for
+the simulators and the randomized construction, and parse_circuit reports
+the first one on a line with that line's 1-based number.
 """
 
 from __future__ import annotations
@@ -62,40 +68,50 @@ def gate(kind: str, *targets: int) -> Gate:
     return Gate(kind, tuple(targets))
 
 
+def gate_problems(g: Gate, width: int) -> list[str]:
+    """Every rule g breaks on a width-qubit register, [] when it is legal:
+    a known kind, its arity, targets in range and distinct."""
+    arity = GATE_ARITY.get(g.kind)
+    if arity is None:
+        return [f"unknown gate {g.kind!r}"]
+    if len(g.targets) != arity:
+        return [f"{g.kind} takes {arity} qubit(s), got {len(g.targets)}"]
+    problems = [
+        f"qubit {q} out of range for width {width}" for q in g.targets if not 0 <= q < width
+    ]
+    if len(set(g.targets)) != len(g.targets):
+        problems.append(f"duplicate targets on {g.kind}")
+    return problems
+
+
 def validate_circuit(circuit: Circuit) -> list[str]:
     """Return every invariant violation, [] when the circuit is valid.
 
-    Checks width >= 1, known gate kinds, arity, target range and target
-    distinctness.  Positions in messages are 0-based gate indices.
+    Checks width >= 1 and every gate against gate_problems.  Positions in
+    messages are 0-based gate indices.
     """
     problems = []
     if circuit.width < 1:
         problems.append(f"width must be >= 1, got {circuit.width}")
     for i, g in enumerate(circuit.gates):
-        arity = GATE_ARITY.get(g.kind)
-        if arity is None:
-            problems.append(f"gate {i}: unknown gate kind {g.kind!r}")
-            continue
-        if len(g.targets) != arity:
-            problems.append(
-                f"gate {i}: {g.kind} takes {arity} target(s), got {len(g.targets)}"
-            )
-            continue
-        for q in g.targets:
-            if not 0 <= q < circuit.width:
-                problems.append(
-                    f"gate {i}: target {q} out of range for width {circuit.width}"
-                )
-        if len(set(g.targets)) != len(g.targets):
-            problems.append(f"gate {i}: duplicate targets {g.targets}")
+        problems.extend(f"gate {i}: {p}" for p in gate_problems(g, circuit.width))
     return problems
+
+
+def check_circuit(circuit: Circuit) -> None:
+    """Raise ValueError naming every violation validate_circuit finds."""
+    problems = validate_circuit(circuit)
+    if problems:
+        raise ValueError("invalid circuit: " + "; ".join(problems))
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse the text format into a Circuit.
 
     Raises CircuitParseError (with a 1-based line number) on the first
-    problem found.  The result always passes validate_circuit().
+    problem found: a bad header, a qubit token that is not an integer, or
+    the first of gate_problems for the line's gate.  The result always
+    passes validate_circuit().
     """
     width = None
     gates = []
@@ -118,30 +134,17 @@ def parse_circuit(text: str) -> Circuit:
             if width < 1:
                 raise CircuitParseError(lineno, f"qubit count must be >= 1, got {width}")
             continue
-        kind, args = tokens[0], tokens[1:]
-        arity = GATE_ARITY.get(kind)
-        if arity is None:
-            raise CircuitParseError(lineno, f"unknown gate {kind!r}")
-        if len(args) != arity:
-            raise CircuitParseError(
-                lineno, f"{kind} takes {arity} qubit(s), got {len(args)}"
-            )
         targets = []
-        for tok in args:
+        for tok in tokens[1:]:
             try:
-                q = int(tok)
+                targets.append(int(tok))
             except ValueError:
-                raise CircuitParseError(
-                    lineno, f"invalid qubit index {tok!r}"
-                ) from None
-            if not 0 <= q < width:
-                raise CircuitParseError(
-                    lineno, f"qubit {q} out of range for width {width}"
-                )
-            targets.append(q)
-        if len(set(targets)) != len(targets):
-            raise CircuitParseError(lineno, f"duplicate targets on {kind}")
-        gates.append(Gate(kind, tuple(targets)))
+                raise CircuitParseError(lineno, f"invalid qubit index {tok!r}") from None
+        g = Gate(tokens[0], tuple(targets))
+        problems = gate_problems(g, width)
+        if problems:
+            raise CircuitParseError(lineno, problems[0])
+        gates.append(g)
     if width is None:
         raise CircuitParseError(1, "missing 'qubits <n>' header")
     return Circuit(width, tuple(gates))

@@ -37,6 +37,7 @@ from .construction import (
 from .depol import (
     additive_certificate,
     check_fidelity,
+    check_positive_int,
     check_seed,
     depolarize,
     empirical_tv,
@@ -72,16 +73,7 @@ def _load_circuit(path: str):
 
 
 def _certificate_dict(report) -> dict:
-    out = {
-        "theorem": report.kind,
-        "bound": report.bound,
-        "achieved": report.achieved,
-        "witness": report.witness,
-        "passed": report.passed,
-    }
-    if report.scaled_ideal_l1 is not None:
-        out["scaled_ideal_l1"] = report.scaled_ideal_l1
-    return out
+    return {key: value for key, value in asdict(report).items() if value is not None}
 
 
 def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
@@ -246,6 +238,15 @@ def _parse_fidelity_grid(text: str) -> tuple[float, ...]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and widths, so a bad value is a usage
+    error that names its flag."""
+    try:
+        return check_positive_int("value", int(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depolab",
@@ -267,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("depolarize", help="depolarized distributions and tallies")
     common(p, circuit_required=True)
-    p.add_argument("--samples", type=int, default=10000, help="tally size (default 10000)")
+    p.add_argument("--samples", type=_positive_int, default=10000,
+                   help="tally size (default 10000)")
 
     p = sub.add_parser("certify", help="closeness-to-uniform certificates")
     common(p, circuit_required=True)
@@ -277,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sbp-gap", help="yes/no acceptance thresholds")
     common(p)
-    p.add_argument("--r", type=int, default=3, help="promise-gap exponent (default 3)")
-    p.add_argument("--w", type=int, default=10, help="main register width (default 10)")
-    p.add_argument("--m", type=int, default=4, help="step count (default 4)")
+    p.add_argument("--r", type=_positive_int, default=3, help="promise-gap exponent (default 3)")
+    p.add_argument("--w", type=_positive_int, default=10, help="main register width (default 10)")
+    p.add_argument("--m", type=_positive_int, default=4, help="step count (default 4)")
     p.add_argument("--epsilon", type=float, default=0.5,
                    help="sampler relative error in [0, 1) (default 0.5)")
 
     p = sub.add_parser("discriminate", help="k-copy discrimination bound chain")
     common(p, circuit_required=False)
-    p.add_argument("--k", type=int, default=1, help="number of copies (default 1)")
-    p.add_argument("--w", type=int, default=2,
+    p.add_argument("--k", type=_positive_int, default=1, help="number of copies (default 1)")
+    p.add_argument("--w", type=_positive_int, default=2,
                    help="width of the seeded random state when no --circuit (default 2)")
 
     return parser

@@ -9,7 +9,10 @@ state is an equal mixture over all 2**m branch strings alpha:
 
     P(y, alpha) = 2**-m * |<y| xi_m^(alpha_m) ... xi_1^(alpha_1) |0^w>|^2
 
-where xi_j^0 = g_j and xi_j^1 is the alternate.  Reading the full outcome
+where xi_j^0 = g_j and xi_j^1 is the alternate.  build_randomized_circuit
+takes X on g_j's first target as xi_j^1; RandomizedCircuit accepts any
+legal non-identity alternate, and checks V with circuits.check_circuit and
+each alternate with circuits.gate_problems.  Reading the full outcome
 (y, alpha), the all-zeros string keeps mass q / 2**m with
 q = |<0^w|V|0^w>|^2: sampling this mixture concentrates a detectable spike
 on 0^n exactly when V accepts.
@@ -37,12 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import Circuit, Gate, validate_circuit
-from .depol import check_fidelity, check_seed
+from .circuits import Circuit, Gate, check_circuit, gate_problems
+from .depol import check_fidelity, check_positive_int, check_seed
 from .errors import CapExceeded
 from .statevector import _apply_gate_inplace, width_cap, zero_overlap, Distribution
 
@@ -51,33 +54,27 @@ from .statevector import _apply_gate_inplace, width_cap, zero_overlap, Distribut
 BRANCH_CAP = 20
 
 
-def _check_step_gate(width: int, index: int, g: Gate, role: str) -> None:
-    problems = validate_circuit(Circuit(width, (g,)))
-    if problems:
-        raise ValueError(f"step {index}: {role} gate invalid: " + "; ".join(problems))
-
-
 @dataclass(frozen=True)
 class RandomizedCircuit:
     """A per-step pair (intended gate, alternate gate) over the main register.
 
     The alternate is what a tails-coin step applies instead of the intended
-    gate; it must genuinely act (I1 is not allowed, or the ancilla flag
-    would mark a branch that did nothing different).  Ancilla j mirrors
-    step j and lives at full-register qubit main_width + j.
+    gate; any legal gate may serve except I1, or the ancilla flag would mark
+    a branch that did nothing different.  Ancilla j mirrors step j and lives
+    at full-register qubit main_width + j.
     """
 
     main_width: int
     steps: tuple[tuple[Gate, Gate], ...]
 
     def __post_init__(self):
-        if self.main_width < 1:
-            raise ValueError(f"main width must be >= 1, got {self.main_width}")
-        for j, (primary, alternate) in enumerate(self.steps):
-            _check_step_gate(self.main_width, j, primary, "intended")
-            _check_step_gate(self.main_width, j, alternate, "alternate")
+        check_circuit(self.primary_circuit())
+        for j, (_, alternate) in enumerate(self.steps):
+            problems = gate_problems(alternate, self.main_width)
             if alternate.kind == "I1":
-                raise ValueError(f"step {j}: alternate gate must not be the identity")
+                problems.append("the identity cannot be an alternate")
+            if problems:
+                raise ValueError(f"step {j}: invalid alternate gate: " + "; ".join(problems))
 
     @property
     def ancilla_width(self) -> int:
@@ -92,26 +89,13 @@ class RandomizedCircuit:
         return Circuit(self.main_width, tuple(p for p, _ in self.steps))
 
 
-def x_on_first_target(step: int, primary: Gate) -> Gate:
-    """Default alternate policy: X on the intended gate's first target."""
-    return Gate("X", (primary.targets[0],))
+def build_randomized_circuit(circuit: Circuit) -> RandomizedCircuit:
+    """Pair every gate of `circuit` with X on its first target.
 
-
-def build_randomized_circuit(
-    circuit: Circuit,
-    alt_policy: Callable[[int, Gate], Gate] = x_on_first_target,
-) -> RandomizedCircuit:
-    """Pair every gate of `circuit` with an alternate chosen by the policy.
-
-    The policy gets (step index, intended gate) and must return a non-identity
-    gate on the main register.
+    RandomizedCircuit checks the circuit and the alternates; build one
+    directly for any other choice of alternates.
     """
-    problems = validate_circuit(circuit)
-    if problems:
-        raise ValueError("invalid circuit: " + "; ".join(problems))
-    steps = tuple(
-        (g, alt_policy(j, g)) for j, g in enumerate(circuit.gates)
-    )
+    steps = tuple((g, Gate("X", g.targets[:1])) for g in circuit.gates)
     return RandomizedCircuit(circuit.width, steps)
 
 
@@ -208,16 +192,13 @@ def sbp_thresholds(
     in [0, 1).  fidelity must be positive: at F = 0 every signal is gone
     and no threshold statement is possible.
     """
-    for name, value in (("r", r), ("w", w), ("m", m)):
-        if int(value) != value or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    r, w, m = check_positive_int("r", r), check_positive_int("w", w), check_positive_int("m", m)
     f = check_fidelity(fidelity)
     if f == 0.0:
         raise ValueError("fidelity must be positive; F = 0 erases the gap entirely")
     eps = float(epsilon)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    r, w, m = int(r), int(w), int(m)
     # (1 - F) / (F * 2**w), split so that no factor leaves the float range
     # once w passes 1023.
     head = min(w, 1023)
@@ -270,7 +251,5 @@ def hardness_gap(
             f"need 0 <= no_acceptance < yes_acceptance <= 1, got a={a!r} b={b!r}"
         )
     f = check_fidelity(fidelity)
-    if int(width) != width or width < 1:
-        raise ValueError(f"width must be a positive integer, got {width!r}")
-    floor = math.ldexp(1.0 - f, -int(width))
+    floor = math.ldexp(1.0 - f, -check_positive_int("width", width))
     return HardnessGap(f * a + floor, f * b + floor, f * (a - b))

@@ -56,21 +56,30 @@ def check_seed(seed: int) -> int:
     return s
 
 
+def check_positive_int(name: str, value: int) -> int:
+    """Validate a count or width: an integer >= 1 (an integral float counts)."""
+    if not (value >= 1 and value % 1 == 0):  # also rejects NaN and infinity
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of checking one closeness-to-uniform bound.
+    """Outcome of checking one closeness-to-uniform bound, its fields in
+    the order the CLI report prints them.
 
+    theorem names the certificate ("additive" or "multiplicative");
     bound/achieved are the two sides of the inequality; witness is the
     outcome index with the largest deviation (the arg-max term); for the
     additive certificate scaled_ideal_l1 carries F * sum_z |p_z - 2**-n|,
     which must equal `achieved` identically.
     """
 
-    kind: str
+    theorem: str
     bound: float
     achieved: float
-    passed: bool
     witness: int
+    passed: bool
     scaled_ideal_l1: float | None = None
 
 
@@ -90,8 +99,7 @@ def sample(dist: Distribution, seed: int, count: int) -> dict[int, int]:
     (seed, dist, count).
     """
     check_seed(seed)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = check_positive_int("count", count)
     if count > SAMPLE_CAP:
         raise CapExceeded(
             f"{count} draws need {16 * count} bytes; the cap is {SAMPLE_CAP} draws"
@@ -121,11 +129,11 @@ def additive_certificate(dist: Distribution, fidelity: float) -> CertificateRepo
     bound = 2.0 * f
     scaled = f * float(np.abs(dist.probs - uniform).sum())
     return CertificateReport(
-        kind="additive",
+        theorem="additive",
         bound=bound,
         achieved=achieved,
-        passed=achieved <= bound,
         witness=int(deviations.argmax()),
+        passed=achieved <= bound,
         scaled_ideal_l1=scaled,
     )
 
@@ -147,18 +155,18 @@ def multiplicative_certificate(dist: Distribution, fidelity: float) -> Certifica
     n = dist.width
     bound = f * float(2 ** (n + 2))
     if f == 0.0:
-        return CertificateReport("multiplicative", bound, 0.0, True, 0)
+        return CertificateReport("multiplicative", bound, 0.0, 0, True)
     uniform = 1.0 / (1 << n)
     noisy = depolarize(dist, f)
     # noisy.probs >= (1 - F) * 2**-n > 0 for F <= 1/2, so dividing is safe.
     ratios = np.abs(noisy.probs - uniform) / noisy.probs
     achieved = float(ratios.max())
     return CertificateReport(
-        kind="multiplicative",
+        theorem="multiplicative",
         bound=bound,
         achieved=achieved,
-        passed=achieved < bound,
         witness=int(ratios.argmax()),
+        passed=achieved < bound,
     )
 
 

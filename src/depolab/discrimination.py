@@ -22,7 +22,8 @@ Because rho0 = I/2**n commutes with everything, rho1^(x)k - rho0^(x)k is
 diagonal in the k-fold product eigenbasis of rho: its eigenvalues are the
 k-fold products of mu = F*spec(rho) + (1-F)/2**n, less 2**(-n*k).  So the
 k-copy norm needs one 2**n x 2**n eigvalsh plus a vector of 2**(k*n)
-products, and POWER_CAP bounds the length of that vector.
+products.  POWER_CAP bounds the length of that vector, and also the
+2**(2*n) entries of the density matrix itself, so n <= 11.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from functools import reduce
 
 import numpy as np
 
-from .depol import check_fidelity, check_seed
+from .depol import check_fidelity, check_positive_int, check_seed
 from .errors import CapExceeded
 from .statevector import StateVector, _within
 from .tolerances import EIG_FLOOR, EXACT_TOL, ORACLE_TOL
 
 # k copies of an n-qubit state live on k*n qubits; the k-copy spectrum
-# holds one float64 per basis state, so 22 qubits is 32 MiB.
+# holds one float64 per basis state, so 22 qubits is 32 MiB.  An n-qubit
+# density matrix holds 2**(2*n) complex128 entries, 64 MiB at n = 11.
 POWER_CAP = 22
 
 
@@ -74,10 +76,22 @@ class DensityMatrix:
         object.__setattr__(self, "spectrum", spectrum)
 
 
+def _check_density_width(width: int) -> None:
+    """Refuse a density matrix too large to build: its 2**(2*width)
+    complex128 entries share POWER_CAP with the k-copy spectrum."""
+    if 2 * width > POWER_CAP:
+        raise CapExceeded(
+            f"a {width}-qubit density matrix holds 2**{2 * width} complex entries, "
+            f"which need 2**{2 * width + 4} bytes; the cap is {POWER_CAP // 2} qubits "
+            f"({16 << POWER_CAP} bytes)"
+        )
+
+
 def density_from_pure(state: StateVector) -> DensityMatrix:
     """Rank-one density |psi><psi| of a statevector.  Its trace is the
     squared norm, so it is checked within EXACT_TOL plus the state's own
     measured drift of that norm (a simulated state may carry round-off)."""
+    _check_density_width(state.width)
     drift = abs(float(np.linalg.norm(state.amps)) ** 2 - 1.0)
     mat = np.outer(state.amps, state.amps.conj())
     return _within(DensityMatrix, state.width, mat, EXACT_TOL + drift)
@@ -102,6 +116,8 @@ def random_density_matrix(width: int, seed: int, rank: int | None = None) -> Den
     rank=None draws full rank; rank=1 gives a Haar-random pure state.
     """
     check_seed(seed)
+    width = check_positive_int("width", width)
+    _check_density_width(width)
     d = 1 << width
     r = d if rank is None else int(rank)
     if not 1 <= r <= d:
@@ -115,20 +131,8 @@ def random_density_matrix(width: int, seed: int, rank: int | None = None) -> Den
     return DensityMatrix(width, mat)
 
 
-def _abs_eig_sum(diff: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def trace_norm_diff(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """|| rho - sigma ||_1 = sum of |eigenvalues| of the difference."""
-    if rho.width != sigma.width:
-        raise ValueError(f"width mismatch: {rho.width} vs {sigma.width}")
-    return _abs_eig_sum(rho.mat - sigma.mat)
-
-
 def _check_power_cap(width: int, k: int) -> None:
-    if int(k) != k or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    k = check_positive_int("k", k)
     qubits = k * width
     if qubits > POWER_CAP:
         raise CapExceeded(
@@ -182,7 +186,7 @@ def bound_chain(rho: DensityMatrix, fidelity: float, k: int) -> ChainReport:
     noisy = f * rho.mat + (1.0 - f) * mixed
 
     base_norm = float(np.abs(rho.spectrum - 1.0 / d).sum())
-    single_norm = _abs_eig_sum(noisy - mixed)
+    single_norm = float(np.abs(np.linalg.eigvalsh(noisy - mixed)).sum())
 
     # Eigenvalues of rho1^(x)k - rho0^(x)k: every k-fold product of the
     # noisy spectrum mu, less the d**-k that I/d**k adds on the diagonal.

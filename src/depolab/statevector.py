@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, validate_circuit
+from .circuits import Circuit, Gate, check_circuit
 from .errors import CapExceeded
 from .tolerances import EXACT_TOL
 
@@ -153,22 +153,16 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
     a[...] = a_new
 
 
-def _check_runnable(circuit: Circuit) -> None:
-    problems = validate_circuit(circuit)
-    if problems:
-        raise ValueError("invalid circuit: " + "; ".join(problems))
+def run(circuit: Circuit) -> StateVector:
+    """Simulate the circuit from |0...0> and return the final state, its
+    norm checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
+    check_circuit(circuit)
     cap = width_cap()
     if circuit.width > cap:
         raise CapExceeded(
             f"circuit width {circuit.width} exceeds the cap of {cap} qubits; its "
             f"2**{circuit.width} amplitudes need 2**{circuit.width + 4} bytes"
         )
-
-
-def run(circuit: Circuit) -> StateVector:
-    """Simulate the circuit from |0...0> and return the final state, its
-    norm checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
-    _check_runnable(circuit)
     amps = np.zeros(1 << circuit.width, dtype=np.complex128)
     amps[0] = 1.0
     for g in circuit.gates:

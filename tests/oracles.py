@@ -122,6 +122,13 @@ def brute_trace_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
+def trace_norm_diff(rho, sigma) -> float:
+    """|| rho - sigma ||_1 of two DensityMatrix objects of one width."""
+    if rho.width != sigma.width:
+        raise ValueError(f"width mismatch: {rho.width} vs {sigma.width}")
+    return brute_trace_norm(rho.mat, sigma.mat)
+
+
 def brute_helstrom(rho0, rho1, k: int) -> tuple[float, float]:
     """k-copy discrimination of two density matrices on the dense tensor
     powers: (1/2 + (1/4) * || rho1^(x)k - rho0^(x)k ||_1 from a full eigh,

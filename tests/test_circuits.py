@@ -1,5 +1,6 @@
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from depolab import (
     Circuit,
@@ -73,6 +74,40 @@ class TestParse:
     def test_second_header_is_unknown_gate(self):
         with pytest.raises(CircuitParseError, match="unknown gate 'qubits'"):
             parse_circuit("qubits 2\nH 0\nqubits 3\n")
+
+
+# Circuit text from gate names (one unknown), the header keyword, small
+# integers and a comment mark: as lines of words or of a gate name and
+# indices after a valid header, or glued together with blanks and
+# newlines in any order.
+_GATES = ["H", "X", "S", "T", "I1", "CNOT", "CZ"]
+_INDICES = ["0", "1", "2", "3", "-1"]
+_WORDS = ["qubits", "#", *_GATES, *_INDICES]
+_gate_line = st.builds(
+    lambda kind, args: " ".join([kind, *args]),
+    st.sampled_from(_GATES),
+    st.lists(st.sampled_from(_INDICES), min_size=1, max_size=2),
+)
+_word_line = st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join)
+_lines = st.lists(st.one_of(_gate_line, _word_line), max_size=8)
+circuit_texts = st.one_of(
+    st.builds("qubits {}\n{}".format, st.integers(1, 4), _lines.map("\n".join)),
+    st.lists(st.sampled_from(_WORDS + [" ", "\n"]), max_size=30).map("".join),
+)
+
+
+class TestParseFuzz:
+    @given(circuit_texts)
+    @settings(max_examples=300)
+    def test_valid_circuit_or_error_inside_the_text(self, text):
+        try:
+            circuit = parse_circuit(text)
+        except CircuitParseError as err:
+            assert 1 <= err.line <= max(1, len(text.splitlines()))
+            assert str(err).startswith(f"line {err.line}: ")
+            return
+        assert validate_circuit(circuit) == []
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
 
 
 class TestValidate:

@@ -220,6 +220,40 @@ class TestErrorPaths:
         assert main(argv) == 4
         assert "160000000000 bytes" in capsys.readouterr().err
 
+    def test_density_width_cap_exits_four(self, capsys, tmp_path):
+        # A 12-qubit density matrix would need 2**28 bytes before any check.
+        path = tmp_path / "twelve.qc"
+        path.write_text("qubits 12\nH 0\n")
+        for source in (["--w", "12"], ["--circuit", str(path)]):
+            assert main(["discriminate", *source]) == 4
+            assert "2**28 bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, value, expected",
+        [
+            (argv, value, expected)
+            for argv, big in (
+                (["discriminate", "--w"], 4),
+                (["discriminate", "--k"], 4),
+                (["sbp-gap", "--r"], 0),
+                (["sbp-gap", "--w"], 0),
+                (["sbp-gap", "--m"], 0),
+            )
+            for value, expected in (("-1", 2), ("0", 2), ("40", big), ("2000", big))
+        ],
+    )
+    def test_integer_flags_classified(self, capsys, argv, value, expected):
+        try:
+            code = main([*argv, value])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == expected
+        if code == 2:
+            assert f"argument {argv[1]}: value must be a positive integer, got {value}" in err
+        if code == 4:
+            assert "bytes" in err
+
     def test_missing_circuit_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])

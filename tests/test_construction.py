@@ -42,24 +42,13 @@ class TestBuild:
         assert rc.steps[0] == (H0, X0)
         assert rc.steps[1] == (Gate("CNOT", (0, 1)), X0)
 
-    def test_policy_injection(self):
-        rc = build_randomized_circuit(
-            parse_circuit("qubits 2\nH 0\nH 1\n"),
-            alt_policy=lambda j, g: Gate("S", (g.targets[0],)),
-        )
-        assert [alt for _, alt in rc.steps] == [Gate("S", (0,)), Gate("S", (1,))]
-
     def test_identity_alternate_rejected(self):
         with pytest.raises(ValueError, match="identity"):
-            build_randomized_circuit(
-                parse_circuit("qubits 1\nH 0\n"), alt_policy=lambda j, g: Gate("I1", (0,))
-            )
+            RandomizedCircuit(1, ((H0, Gate("I1", (0,))),))
 
     def test_out_of_range_alternate_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            build_randomized_circuit(
-                parse_circuit("qubits 1\nH 0\n"), alt_policy=lambda j, g: Gate("X", (7,))
-            )
+            RandomizedCircuit(1, ((H0, Gate("X", (7,))),))
 
     def test_invalid_input_circuit_rejected(self):
         with pytest.raises(ValueError, match="invalid circuit"):
@@ -114,9 +103,7 @@ class TestMixture:
     def test_equal_gate_pairs_make_identical_slices(self):
         # alternate == intended (legal, just pointless): every branch runs
         # the same circuit, so all alpha-slices agree.
-        rc = build_randomized_circuit(
-            parse_circuit("qubits 2\nH 0\nX 1\n"), alt_policy=lambda j, g: g
-        )
+        rc = RandomizedCircuit(2, ((H0, H0), (Gate("X", (1,)), Gate("X", (1,)))))
         slices = mixture_distribution(rc).probs.reshape(4, 4)
         assert np.allclose(slices, slices[0], atol=1e-15)
 

@@ -7,6 +7,7 @@ from depolab import (
     Distribution,
     additive_certificate,
     check_fidelity,
+    check_positive_int,
     depolarize,
     empirical_tv,
     multiplicative_certificate,
@@ -20,6 +21,18 @@ from strategies import distributions, fidelities, low_fidelities, seeds
 point2 = Distribution(2, np.array([1.0, 0.0, 0.0, 0.0]))
 bell_dist = Distribution(2, np.array([0.5, 0.0, 0.0, 0.5]))
 uniform3 = Distribution(3, np.full(8, 0.125))
+
+
+class TestPositiveInt:
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, float("nan"), float("inf"), -float("inf")])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError, match="width must be a positive integer"):
+            check_positive_int("width", bad)
+
+    @pytest.mark.parametrize("good", [1, 3, 3.0, np.int64(7)])
+    def test_accepts_as_int(self, good):
+        value = check_positive_int("width", good)
+        assert value == good and type(value) is int
 
 
 class TestFidelity:

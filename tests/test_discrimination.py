@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from depolab import (
     CapExceeded,
+    Circuit,
     DensityMatrix,
     StateVector,
     bound_chain,
@@ -15,11 +16,10 @@ from depolab import (
     output_distribution,
     random_density_matrix,
     run,
-    trace_norm_diff,
 )
 from depolab.statevector import _within
 from depolab.tolerances import ORACLE_TOL
-from oracles import bloch_grid_best, brute_helstrom, brute_trace_norm
+from oracles import bloch_grid_best, brute_helstrom, brute_trace_norm, trace_norm_diff
 from strategies import seeds
 
 S2 = 2.0**-0.5
@@ -52,6 +52,21 @@ class TestDensityTypes:
         assert density_from_pure(state).mat[0, 0] == (1.0 + 3e-12) ** 2
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(1, np.outer(amps, amps))
+
+    @pytest.mark.parametrize("width", [0, -1, 2.5])
+    def test_random_width_validated(self, width):
+        with pytest.raises(ValueError, match="width must be a positive integer"):
+            random_density_matrix(width, 0)
+
+    def test_integral_float_width_accepted(self):
+        assert random_density_matrix(2.0, 0).width == 2
+
+    def test_width_capped_before_allocating(self):
+        # 12 qubits: 2**24 complex entries, 2**28 bytes; the cap is 11 qubits.
+        with pytest.raises(CapExceeded, match=r"2\*\*28 bytes; the cap is 11 qubits"):
+            random_density_matrix(12, 0)
+        with pytest.raises(CapExceeded, match=r"2\*\*28 bytes"):
+            density_from_pure(run(Circuit(12, ())))
 
     def test_maximally_mixed(self):
         rho = maximally_mixed(2)
@@ -243,9 +258,11 @@ class TestBoundChain:
         assert values[0] > values[1] > values[2]
 
     def test_eigh_route_matches_brute_norm(self):
+        # noise_scaling's lhs is bound_chain's own eigvalsh of noisy - I/d.
         rho = random_density_matrix(2, 9)
         noisy = depolarize_density(rho, 0.5)
-        assert trace_norm_diff(noisy, maximally_mixed(2)) == pytest.approx(
+        single_norm = bound_chain(rho, 0.5, 1).links[2].lhs
+        assert single_norm == pytest.approx(
             brute_trace_norm(noisy.mat, maximally_mixed(2).mat), abs=1e-12
         )
 
