@@ -9,7 +9,7 @@ depolarization, and evaluates how little k copies help in distinguishing
 the depolarized state from pure noise.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .circuits import (
     Circuit,
@@ -29,7 +29,6 @@ from .construction import (
     depolarized_acceptance,
     hardness_gap,
     mixture_distribution,
-    sample_branch,
     sbp_thresholds,
 )
 from .depol import (
@@ -49,8 +48,6 @@ from .discrimination import (
     DensityMatrix,
     bound_chain,
     density_from_pure,
-    depolarize_density,
-    maximally_mixed,
     random_density_matrix,
 )
 from .errors import CapExceeded, CircuitParseError
@@ -86,12 +83,10 @@ __all__ = [
     "check_seed",
     "density_from_pure",
     "depolarize",
-    "depolarize_density",
     "depolarized_acceptance",
     "empirical_tv",
     "gate",
     "hardness_gap",
-    "maximally_mixed",
     "mixture_distribution",
     "multiplicative_certificate",
     "outcome_string",
@@ -101,7 +96,6 @@ __all__ = [
     "random_density_matrix",
     "run",
     "sample",
-    "sample_branch",
     "sbp_thresholds",
     "serialize_circuit",
     "validate_circuit",

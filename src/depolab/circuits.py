@@ -34,9 +34,6 @@ from .errors import CircuitParseError
 
 GATE_ARITY = {"H": 1, "X": 1, "S": 1, "T": 1, "I1": 1, "CNOT": 2}
 
-# Gates that act on one qubit and do something (everything except CNOT and I1).
-ONE_QUBIT_GATES = ("H", "X", "S", "T")
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -167,12 +164,11 @@ def outcome_string(index: int, width: int) -> str:
 def random_circuit(width: int, gate_count: int, rng: np.random.Generator) -> Circuit:
     """Draw a random circuit: uniform gate kinds, uniform valid targets.
 
-    CNOT is only drawn for width >= 2.  Used by the experiment scripts and
-    the test corpus; not part of the simulation semantics.
+    The kinds are GATE_ARITY's in order, CNOT only for width >= 2.  Used by
+    the experiment scripts and the test corpus; not part of the simulation
+    semantics.
     """
-    kinds = list(ONE_QUBIT_GATES) + ["I1"]
-    if width >= 2:
-        kinds.append("CNOT")
+    kinds = [kind for kind, arity in GATE_ARITY.items() if arity <= width]
     gates = []
     for _ in range(gate_count):
         kind = kinds[rng.integers(len(kinds))]

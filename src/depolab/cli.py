@@ -68,8 +68,14 @@ class ExperimentConfig:
 
 
 def _load_circuit(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_circuit(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return parse_circuit(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        # Number the bad byte's line the way parse_circuit numbers lines.
+        line = len((data[: err.start].decode("utf-8") + ".").splitlines())
+        raise CircuitParseError(line, f"not UTF-8 text: {err.reason}") from None
 
 
 def _certificate_dict(report) -> dict:
@@ -151,7 +157,7 @@ def _run_thm1(config: ExperimentConfig) -> tuple[dict, bool]:
     rc = build_randomized_circuit(circuit)
     q = abs(zero_overlap(circuit)) ** 2
     spikes = [
-        {"fidelity": f, "p_acc_prime": depolarized_acceptance(rc, f)}
+        {"fidelity": f, "p_acc_prime": depolarized_acceptance(rc, q, f)}
         for f in config.fidelity_grid
     ]
     results = {
@@ -229,13 +235,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def _parse_fidelity_grid(text: str) -> tuple[float, ...]:
+    # split yields at least one token and float("") fails, so no grid is empty.
     try:
-        values = tuple(float(tok) for tok in text.split(","))
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad fidelity list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("fidelity list must be non-empty")
-    return values
 
 
 def _positive_int(text: str) -> int:
@@ -306,6 +310,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = run_experiment(config)
+        elapsed = time.perf_counter() - started
+        payload = render_json(report) + "\n"
+        if config.out_path is not None:
+            with open(config.out_path, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        else:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
     except CircuitParseError as err:
         print(f"depolab: circuit file error: {err}", file=sys.stderr)
         return 3
@@ -318,18 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"depolab: i/o error: {err}", file=sys.stderr)
         return 3
-    elapsed = time.perf_counter() - started
-    payload = render_json(report) + "\n"
-    if config.out_path is not None:
-        try:
-            with open(config.out_path, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        except OSError as err:
-            print(f"depolab: i/o error: {err}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(payload)
-        sys.stdout.flush()
     print(f"# wall time: {elapsed:.3f} s", file=sys.stderr)
     return 0 if report["passed"] else 1
 

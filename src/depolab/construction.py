@@ -45,9 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import Circuit, Gate, check_circuit, gate_problems
-from .depol import check_fidelity, check_positive_int, check_seed
+from .depol import check_fidelity, check_positive_int
 from .errors import CapExceeded
-from .statevector import _apply_gate_inplace, width_cap, zero_overlap, Distribution
+from .statevector import Distribution, _apply_gate_inplace, width_cap
 
 # Exact branch enumeration walks all 2**m ancilla strings; past this it is
 # no longer a desk-scale computation.
@@ -131,36 +131,15 @@ def mixture_distribution(rc: RandomizedCircuit) -> Distribution:
     return Distribution(w + m, probs)
 
 
-def sample_branch(rc: RandomizedCircuit, seed: int) -> tuple[tuple[int, ...], Circuit]:
-    """Draw one branch: fair coin per step, keyed Philox stream.
-
-    Returns (branch bits, realized circuit).  The realized circuit acts on
-    the full register: each step contributes its chosen main-register gate,
-    plus an X on ancilla j when the coin came up tails.
-    """
-    check_seed(seed)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=rc.ancilla_width))
-    gates = []
-    for j, ((primary, alternate), bit) in enumerate(zip(rc.steps, bits)):
-        if bit:
-            gates.append(alternate)
-            gates.append(Gate("X", (rc.main_width + j,)))
-        else:
-            gates.append(primary)
-    return bits, Circuit(rc.total_width, tuple(gates))
-
-
-def depolarized_acceptance(rc: RandomizedCircuit, fidelity: float) -> float:
+def depolarized_acceptance(rc: RandomizedCircuit, q: float, fidelity: float) -> float:
     """Mass on the all-zeros outcome after depolarization at fidelity F:
 
-        F * q / 2**m + (1 - F) / 2**n,   q = |<0^w|V|0^w>|^2.
+        F * q / 2**m + (1 - F) / 2**n,   q = |<0^w|V|0^w>|^2,
 
-    Computed through the acceptance amplitude of V alone; no 2**n-sized
-    object is built.
+    with q from one simulation of V (statevector.zero_overlap), so a grid
+    of fidelities shares it.  No 2**n-sized object is built.
     """
     f = check_fidelity(fidelity)
-    q = abs(zero_overlap(rc.primary_circuit())) ** 2
     m, n = rc.ancilla_width, rc.total_width
     # Exact scaling by 2**-m, like a division, but 0 where 2**m overflows.
     return math.ldexp(f * q, -m) + math.ldexp(1.0 - f, -n)

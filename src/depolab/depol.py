@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .statevector import Distribution, _within
+from .statevector import Distribution
 from .tolerances import EXACT_TOL
 
 # Each draw holds a float64 uniform and an int64 outcome at once, so 10**8
@@ -89,7 +89,7 @@ def depolarize(dist: Distribution, fidelity: float) -> Distribution:
     uniform = (1.0 - f) / (1 << dist.width)
     # The map scales the input's drift from unit sum by F, so allow that drift.
     drift = abs(float(dist.probs.sum()) - 1.0)
-    return _within(Distribution, dist.width, f * dist.probs + uniform, EXACT_TOL + drift)
+    return Distribution(dist.width, f * dist.probs + uniform, tol=EXACT_TOL + drift)
 
 
 def sample(dist: Distribution, seed: int, count: int) -> dict[int, int]:

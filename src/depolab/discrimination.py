@@ -28,14 +28,14 @@ products.  POWER_CAP bounds the length of that vector, and also the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from .depol import check_fidelity, check_positive_int, check_seed
 from .errors import CapExceeded
-from .statevector import StateVector, _within
+from .statevector import StateVector, _check_unit, _freeze
 from .tolerances import EIG_FLOOR, EXACT_TOL, ORACLE_TOL
 
 # k copies of an n-qubit state live on k*n qubits; the k-copy spectrum
@@ -46,33 +46,26 @@ POWER_CAP = 22
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated density matrix: Hermitian, unit trace, PSD up to slack.
+    """A validated density matrix: Hermitian, unit trace within tol
+    (EXACT_TOL unless the caller knows a round-off bound), PSD up to slack.
     spectrum keeps the ascending eigenvalues the PSD check computed."""
 
     width: int
     mat: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _: KW_ONLY
+    tol: InitVar[float] = EXACT_TOL
 
-    def __post_init__(self):
-        self._check(self.mat, EXACT_TOL)
-
-    def _check(self, mat: np.ndarray, tol: float) -> None:
+    def __post_init__(self, tol):
         d = 1 << self.width
-        mat = np.array(mat, dtype=np.complex128)
-        if mat.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix for width {self.width}, got {mat.shape}")
+        mat = _freeze(self, "mat", np.complex128, (d, d), f"a {d}x{d} matrix")
         if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=EXACT_TOL):
             raise ValueError("matrix is not Hermitian")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > tol:
-            raise ValueError(f"trace is {trace!r}, not 1 within {tol}")
+        _check_unit("trace", complex(np.trace(mat)), tol)
         spectrum = np.linalg.eigvalsh(mat)
-        smallest = float(spectrum.min())
-        if smallest < EIG_FLOOR:
-            raise ValueError(f"eigenvalue {smallest!r} below {EIG_FLOOR}")
-        mat.setflags(write=False)
+        if spectrum[0] < EIG_FLOOR:  # eigvalsh sorts ascending
+            raise ValueError(f"eigenvalue {float(spectrum[0])!r} below {EIG_FLOOR}")
         spectrum.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "spectrum", spectrum)
 
 
@@ -94,20 +87,7 @@ def density_from_pure(state: StateVector) -> DensityMatrix:
     _check_density_width(state.width)
     drift = abs(float(np.linalg.norm(state.amps)) ** 2 - 1.0)
     mat = np.outer(state.amps, state.amps.conj())
-    return _within(DensityMatrix, state.width, mat, EXACT_TOL + drift)
-
-
-def maximally_mixed(width: int) -> DensityMatrix:
-    """I / 2**width."""
-    d = 1 << width
-    return DensityMatrix(width, np.eye(d) / d)
-
-
-def depolarize_density(rho: DensityMatrix, fidelity: float) -> DensityMatrix:
-    """F * rho + (1 - F) * I/2**n, the density-level depolarization."""
-    f = check_fidelity(fidelity)
-    d = 1 << rho.width
-    return DensityMatrix(rho.width, f * rho.mat + (1.0 - f) * np.eye(d) / d)
+    return DensityMatrix(state.width, mat, tol=EXACT_TOL + drift)
 
 
 def random_density_matrix(width: int, seed: int, rank: int | None = None) -> DensityMatrix:

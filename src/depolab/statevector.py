@@ -16,7 +16,7 @@ hard limit 26) rather than degraded.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
@@ -60,65 +60,55 @@ def width_cap() -> int:
     return min(value, HARD_WIDTH_CAP)
 
 
+def _freeze(obj, name: str, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Copy obj.name in as a read-only array of dtype and shape; set it back."""
+    values = np.array(getattr(obj, name), dtype=dtype)
+    if values.shape != shape:
+        raise ValueError(f"expected {what} for width {obj.width}, got shape {values.shape}")
+    values.setflags(write=False)
+    object.__setattr__(obj, name, values)
+    return values
+
+
+def _check_unit(what: str, value: complex, tol: float) -> None:
+    """Raise unless a norm, sum or trace is 1 within tol."""
+    if abs(value - 1.0) > tol:
+        raise ValueError(f"{what} {value!r} is not 1 within {tol}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit-norm amplitudes over 2**width basis states.  Immutable: the
-    array is copied in and marked read-only."""
+    array is copied in and marked read-only.  The norm is checked within
+    tol, EXACT_TOL unless the caller knows a round-off bound."""
 
     width: int
     amps: np.ndarray
+    _: KW_ONLY
+    tol: InitVar[float] = EXACT_TOL
 
-    def __post_init__(self):
-        self._check(self.amps, EXACT_TOL)
-
-    def _check(self, amps: np.ndarray, tol: float) -> None:
-        amps = np.array(amps, dtype=np.complex128)
-        if amps.shape != (1 << self.width,):
-            raise ValueError(
-                f"expected {1 << self.width} amplitudes for width {self.width}, "
-                f"got shape {amps.shape}"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > tol:
-            raise ValueError(f"state norm {norm!r} is not 1 within {tol}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+    def __post_init__(self, tol):
+        d = 1 << self.width
+        amps = _freeze(self, "amps", np.complex128, (d,), f"{d} amplitudes")
+        _check_unit("state norm", float(np.linalg.norm(amps)), tol)
 
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probabilities over 2**width outcomes: nonnegative, summing to 1."""
+    """Probabilities over 2**width outcomes: nonnegative, summing to 1
+    within tol (EXACT_TOL unless the caller knows a round-off bound)."""
 
     width: int
     probs: np.ndarray
+    _: KW_ONLY
+    tol: InitVar[float] = EXACT_TOL
 
-    def __post_init__(self):
-        self._check(self.probs, EXACT_TOL)
-
-    def _check(self, probs: np.ndarray, tol: float) -> None:
-        probs = np.array(probs, dtype=np.float64)
-        if probs.shape != (1 << self.width,):
-            raise ValueError(
-                f"expected {1 << self.width} probabilities for width {self.width}, "
-                f"got shape {probs.shape}"
-            )
+    def __post_init__(self, tol):
+        d = 1 << self.width
+        probs = _freeze(self, "probs", np.float64, (d,), f"{d} probabilities")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"probabilities sum to {total!r}, not 1 within {tol}")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-
-def _within(cls, width: int, values: np.ndarray, tol: float):
-    """A StateVector, Distribution or DensityMatrix whose norm, sum or
-    trace is checked within tol instead of EXACT_TOL, for arrays with a
-    known round-off bound."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "width", width)
-    obj._check(values, tol)
-    return obj
+        _check_unit("probability sum", float(probs.sum()), tol)
 
 
 def _pinned(bits: np.ndarray, width: int, *pins: tuple[int, int]) -> np.ndarray:
@@ -167,14 +157,14 @@ def run(circuit: Circuit) -> StateVector:
     amps[0] = 1.0
     for g in circuit.gates:
         _apply_gate_inplace(amps, g, circuit.width)
-    return _within(StateVector, circuit.width, amps, EXACT_TOL + GATE_ROUNDOFF * circuit.m)
+    return StateVector(circuit.width, amps, tol=EXACT_TOL + GATE_ROUNDOFF * circuit.m)
 
 
 def distribution_of(state: StateVector, gate_count: int) -> Distribution:
     """|amplitude|^2 per outcome of a state that gate_count gates produced,
     its sum checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
     tol = EXACT_TOL + GATE_ROUNDOFF * gate_count
-    return _within(Distribution, state.width, np.abs(state.amps) ** 2, tol)
+    return Distribution(state.width, np.abs(state.amps) ** 2, tol=tol)
 
 
 def output_distribution(circuit: Circuit) -> Distribution:

@@ -6,6 +6,10 @@ explicit Kronecker products, per-branch enumeration, plain-Python loops
 over outcomes, a grid search over single-qubit measurements, dense
 k-copy tensor powers measured with an explicit projector, and a checksum
 that formats every float on its own.
+
+The last section holds helpers that only the tests need, built on the
+package's public types: a sampled branch of a randomized circuit, the
+maximally mixed state, and density-level depolarization.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import hashlib
 from functools import reduce
 
 import numpy as np
+
+from depolab import Circuit, DensityMatrix, Gate, check_fidelity, check_seed
 
 _S2 = 2.0**-0.5
 GATES_1Q = {
@@ -151,3 +157,40 @@ def brute_checksum(probs) -> str:
     """sha256 of every probability's .17g text, joined by commas."""
     payload = ",".join(format(p, ".17g") for p in probs)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+# Test-only helpers on the package's types.
+
+
+def sample_branch(rc, seed: int) -> tuple[tuple[int, ...], Circuit]:
+    """Draw one branch of a RandomizedCircuit: fair coin per step, keyed
+    Philox stream.
+
+    Returns (branch bits, realized circuit).  The realized circuit acts on
+    the full register: each step contributes its chosen main-register gate,
+    plus an X on ancilla j when the coin came up tails.
+    """
+    check_seed(seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    bits = tuple(int(b) for b in rng.integers(0, 2, size=rc.ancilla_width))
+    gates = []
+    for j, ((primary, alternate), bit) in enumerate(zip(rc.steps, bits)):
+        if bit:
+            gates.append(alternate)
+            gates.append(Gate("X", (rc.main_width + j,)))
+        else:
+            gates.append(primary)
+    return bits, Circuit(rc.total_width, tuple(gates))
+
+
+def maximally_mixed(width: int) -> DensityMatrix:
+    """I / 2**width."""
+    d = 1 << width
+    return DensityMatrix(width, np.eye(d) / d)
+
+
+def depolarize_density(rho: DensityMatrix, fidelity: float) -> DensityMatrix:
+    """F * rho + (1 - F) * I/2**n, the density-level depolarization."""
+    f = check_fidelity(fidelity)
+    d = 1 << rho.width
+    return DensityMatrix(rho.width, f * rho.mat + (1.0 - f) * np.eye(d) / d)

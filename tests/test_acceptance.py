@@ -19,22 +19,26 @@ from depolab import (
     build_randomized_circuit,
     depolarize,
     depolarized_acceptance,
-    depolarize_density,
-    maximally_mixed,
     mixture_distribution,
     multiplicative_certificate,
     output_distribution,
     random_circuit,
     random_density_matrix,
     run,
-    sample_branch,
     sbp_thresholds,
     serialize_circuit,
     zero_overlap,
 )
 from depolab.cli import ExperimentConfig, run_experiment
 from depolab.reports import render_json
-from oracles import bloch_grid_best, brute_amplitudes, brute_distribution
+from oracles import (
+    bloch_grid_best,
+    brute_amplitudes,
+    brute_distribution,
+    depolarize_density,
+    maximally_mixed,
+    sample_branch,
+)
 
 CORPUS_SEED = 20260818
 
@@ -101,7 +105,7 @@ def test_3_mixture_and_acceptance_links():
         assert abs(mix.probs[0] - q / (1 << m)) <= 1e-12, circuit
         for f in grid:
             via_mixture = f * mix.probs[0] + (1 - f) / (1 << n)
-            assert abs(depolarized_acceptance(rc, f) - via_mixture) <= 1e-12, (circuit, f)
+            assert abs(depolarized_acceptance(rc, q, f) - via_mixture) <= 1e-12, (circuit, f)
     _passed("3 mixture / acceptance spike links")
 
 

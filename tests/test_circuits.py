@@ -1,4 +1,7 @@
+import hashlib
+
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -8,6 +11,7 @@ from depolab import (
     Gate,
     outcome_string,
     parse_circuit,
+    random_circuit,
     serialize_circuit,
     validate_circuit,
 )
@@ -159,6 +163,26 @@ class TestSerialize:
     @given(circuits(max_width=6, max_gates=12))
     def test_generated_circuits_are_valid(self, circuit):
         assert validate_circuit(circuit) == []
+
+
+class TestRandomCircuit:
+    def test_seeded_circuits_are_pinned(self):
+        # Experiment scripts and benchmark inputs depend on these bytes.
+        rng = np.random.Generator(np.random.Philox(key=0))
+        text = serialize_circuit(random_circuit(2, 8, rng))
+        assert text == "qubits 2\nH 0\nT 0\nS 0\nX 1\nT 1\nCNOT 0 1\nI1 1\nS 1\n"
+        digest = hashlib.sha256()
+        for seed in range(8):
+            for width, gate_count in [(1, 6), (2, 12), (5, 20)]:
+                rng = np.random.Generator(np.random.Philox(key=seed))
+                digest.update(serialize_circuit(random_circuit(width, gate_count, rng)).encode())
+        assert digest.hexdigest() == (
+            "28bdd209da3952980a83fdca27ff59dbe60cfc985852623562ae314417b70bde"
+        )
+
+    def test_one_qubit_draws_no_cnot(self):
+        circuit = random_circuit(1, 200, np.random.Generator(np.random.Philox(key=1)))
+        assert {g.kind for g in circuit.gates} == {"H", "X", "S", "T", "I1"}
 
 
 class TestOutcomeString:

@@ -1,10 +1,17 @@
+import io
 import json
+import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import depolab.cli
+import depolab.statevector
 from depolab import (
     __version__,
     build_randomized_circuit,
@@ -13,6 +20,7 @@ from depolab import (
     serialize_circuit,
 )
 from depolab.cli import ExperimentConfig, _mixture_checksum, main, run_experiment
+from depolab.depol import SAMPLE_CAP
 from oracles import brute_checksum
 
 BELL = "qubits 2\nH 0\nCNOT 0 1\n"
@@ -107,6 +115,15 @@ class TestThm1:
         assert isinstance(results["mixture_checksum"], str)
         assert len(results["mixture_checksum"]) == 64
 
+    def test_v_simulated_once(self, capsys, monkeypatch, bell_path):
+        # q = |<0|V|0>|**2 serves every fidelity of the grid.
+        calls = []
+        real_run = depolab.statevector.run
+        monkeypatch.setattr(depolab.statevector, "run", lambda c: calls.append(c) or real_run(c))
+        code, _ = run_cli(capsys, ["thm1", "--circuit", bell_path, "--fidelity", "0.1,0.5,0.9"])
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestMixtureChecksum:
     # (w, gates): the last has 2**17 probabilities, two formatter chunks.
@@ -192,6 +209,21 @@ class TestErrorPaths:
         path.write_text("qubits 2\nCZ 0 1\n")
         assert main(["simulate", "--circuit", str(path)]) == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_three_with_line(self, capsys, tmp_path):
+        path = tmp_path / "binary.qc"
+        path.write_bytes(b"qubits 1\nH 0\n\xff\n")
+        assert main(["simulate", "--circuit", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "circuit file error: line 3: not UTF-8" in err
+
+    def test_render_error_exits_two(self, capsys, monkeypatch, bell_path):
+        report = {"version": __version__, "passed": True, "results": {"x": math.inf}}
+        monkeypatch.setattr(depolab.cli, "run_experiment", lambda config: report)
+        assert main(["simulate", "--circuit", bell_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err and "inf" in captured.err
 
     def test_bad_flag_exits_two(self, bell_path):
         with pytest.raises(SystemExit) as exc:
@@ -311,3 +343,71 @@ class TestEndToEnd:
         report = json.loads(proc.stdout)
         assert report["passed"] is True
         assert "wall time" in proc.stderr
+
+
+# Whole command lines: a subcommand (or an unknown one), some of the flags
+# it takes (--circuit always where it is required), maybe one flag from
+# anywhere, each value drawn from a fixed pool of good and bad values.  The
+# pools stay cheap: no --w 11 (a 4 s density matrix) and no sample count
+# above 10**4 unless it is past SAMPLE_CAP.
+FUZZ_INTS = ["-1", "0", "1", "2", "3", "12", "40", "2000", "2.5", "x", ""]
+FUZZ_VALUES = {
+    "--fidelity": ["nan", "inf", "-0", "1e-320", "", "0.5,", "2", "0.5", "0,0.25,1"],
+    "--seed": ["-1", str(2**64), "x", "0", "7"],
+    "--samples": FUZZ_INTS + [str(SAMPLE_CAP + 1)],
+    "--k": FUZZ_INTS,
+    "--r": FUZZ_INTS,
+    "--w": FUZZ_INTS,
+    "--m": FUZZ_INTS,
+    "--epsilon": ["0.5", "0", "1", "nan", "x"],
+}
+_COMMON = ["--fidelity", "--seed", "--out"]
+FUZZ_FLAGS = {
+    "simulate": _COMMON,
+    "depolarize": _COMMON + ["--samples"],
+    "certify": _COMMON,
+    "thm1": _COMMON,
+    "sbp-gap": _COMMON + ["--r", "--w", "--m", "--epsilon"],
+    "discriminate": _COMMON + ["--circuit", "--k", "--w"],
+    "bogus": _COMMON,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "good.qc": BELL.encode(),
+        "unknown.qc": b"qubits 2\nCZ 0 1\n",
+        "wide.qc": b"qubits 30\nH 0\n",
+        "binary.qc": b"qubits 1\nH 0\n\xff\n",
+    }
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    circuits = [str(root / name) for name in files] + [str(root), str(root / "missing.qc")]
+    outs = [str(root / "report.json"), str(root), str(root / "missing" / "report.json")]
+    return {**FUZZ_VALUES, "--circuit": circuits, "--out": outs}
+
+
+class TestCommandLineFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_every_command_line_exits_zero_to_four(self, fuzz_paths, data):
+        subcommand = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+        flags = [] if subcommand in ("sbp-gap", "discriminate", "bogus") else ["--circuit"]
+        flags += data.draw(st.lists(st.sampled_from(FUZZ_FLAGS[subcommand]), unique=True))
+        flags += data.draw(st.lists(st.sampled_from(sorted(fuzz_paths)), max_size=1))
+        argv = [subcommand]
+        for flag in flags:
+            argv += [flag, data.draw(st.sampled_from(fuzz_paths[flag]))]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in range(5), (argv, code, err.getvalue())
+        if code >= 2 or "--out" in argv:
+            assert out.getvalue() == "", argv
+        else:
+            assert json.loads(out.getvalue())["passed"] is (code == 0)

@@ -14,11 +14,10 @@ from depolab import (
     hardness_gap,
     mixture_distribution,
     parse_circuit,
-    sample_branch,
     sbp_thresholds,
     zero_overlap,
 )
-from oracles import brute_mixture
+from oracles import brute_mixture, sample_branch
 from strategies import circuits, fidelities
 
 H0 = Gate("H", (0,))
@@ -27,6 +26,11 @@ X0 = Gate("X", (0,))
 
 def rc_from(text):
     return build_randomized_circuit(parse_circuit(text))
+
+
+def acceptance(rc, f):
+    """depolarized_acceptance with q from one simulation of V."""
+    return depolarized_acceptance(rc, abs(zero_overlap(rc.primary_circuit())) ** 2, f)
 
 
 class TestBuild:
@@ -164,18 +168,18 @@ class TestDepolarizedAcceptance:
         # q = 1/2, m = 1, n = 2: F/4 + (1-F)/4 = 1/4 for every F.
         rc = rc_from("qubits 1\nH 0\n")
         for f in (0.0, 0.3, 0.5, 1.0):
-            assert depolarized_acceptance(rc, f) == pytest.approx(0.25, abs=1e-15)
+            assert acceptance(rc, f) == pytest.approx(0.25, abs=1e-15)
 
     def test_double_x(self):
         rc = rc_from("qubits 1\nX 0\nX 0\n")
         for f in (0.0, 0.25, 1.0):
-            assert depolarized_acceptance(rc, f) == pytest.approx(
+            assert acceptance(rc, f) == pytest.approx(
                 f / 4 + (1 - f) / 8, abs=1e-15
             )
 
     def test_zero_fidelity_is_uniform_mass(self, ghz_circuit):
         rc = build_randomized_circuit(ghz_circuit)
-        assert depolarized_acceptance(rc, 0.0) == pytest.approx(
+        assert acceptance(rc, 0.0) == pytest.approx(
             2.0**-rc.total_width, abs=1e-18
         )
 
@@ -186,7 +190,7 @@ class TestDepolarizedAcceptance:
         via_mixture = f * mixture_distribution(rc).probs[0] + (1 - f) / (
             1 << rc.total_width
         )
-        assert abs(depolarized_acceptance(rc, f) - via_mixture) <= 1e-12
+        assert abs(acceptance(rc, f) - via_mixture) <= 1e-12
 
 
 class TestSbpThresholds:
@@ -258,7 +262,7 @@ class TestSbpThresholds:
             for f in (0.3, 0.5, 1.0):
                 for eps in (0.1, 0.5):
                     report = sbp_thresholds(r, rc.main_width, rc.ancilla_width, f, eps)
-                    assert report.yes_lower < depolarized_acceptance(rc, f)
+                    assert report.yes_lower < acceptance(rc, f)
 
 
 class TestHardnessGap:

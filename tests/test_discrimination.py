@@ -11,15 +11,19 @@ from depolab import (
     bound_chain,
     density_from_pure,
     depolarize,
-    depolarize_density,
-    maximally_mixed,
     output_distribution,
     random_density_matrix,
     run,
 )
-from depolab.statevector import _within
 from depolab.tolerances import ORACLE_TOL
-from oracles import bloch_grid_best, brute_helstrom, brute_trace_norm, trace_norm_diff
+from oracles import (
+    bloch_grid_best,
+    brute_helstrom,
+    brute_trace_norm,
+    depolarize_density,
+    maximally_mixed,
+    trace_norm_diff,
+)
 from strategies import seeds
 
 S2 = 2.0**-0.5
@@ -48,7 +52,7 @@ class TestDensityTypes:
         # A simulated state may be off unit norm by its gates' round-off;
         # its density inherits that trace drift.
         amps = np.array([1.0 + 3e-12, 0.0])
-        state = _within(StateVector, 1, amps, 1e-11)
+        state = StateVector(1, amps, tol=1e-11)
         assert density_from_pure(state).mat[0, 0] == (1.0 + 3e-12) ** 2
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(1, np.outer(amps, amps))
@@ -79,6 +83,12 @@ class TestDensityTypes:
     def test_bad_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(1, np.eye(2))
+
+    def test_tol_widens_the_trace_check(self):
+        mat = np.diag([0.5 + 3e-12, 0.5])
+        with pytest.raises(ValueError, match="within 1e-12"):
+            DensityMatrix(1, mat)
+        assert DensityMatrix(1, mat, tol=1e-11).spectrum[1] == 0.5 + 3e-12
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):

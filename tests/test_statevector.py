@@ -194,3 +194,21 @@ class TestTypes:
         dist = Distribution(1, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             dist.probs[0] = 0.7
+
+    def test_input_array_is_copied(self):
+        probs = np.array([0.5, 0.5])
+        dist = Distribution(1, probs)
+        probs[0] = 0.7
+        assert dist.probs[0] == 0.5
+
+    @pytest.mark.parametrize(
+        "cls, values", [(StateVector, [1.0 + 3e-12, 0.0]), (Distribution, [0.5 + 3e-12, 0.5])]
+    )
+    def test_tol_widens_the_unit_check(self, cls, values):
+        values = np.array(values)
+        with pytest.raises(ValueError, match="within 1e-12"):
+            cls(1, values)
+        widened = cls(1, values, tol=1e-11)
+        assert "tol" not in repr(widened)  # an init argument, not a field
+        with pytest.raises(TypeError):
+            cls(1, values, 1e-11)  # tol is keyword-only
