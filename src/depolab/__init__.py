@@ -9,7 +9,7 @@ depolarization, and evaluates how little k copies help in distinguishing
 the depolarized state from pure noise.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .circuits import (
     Circuit,
@@ -52,11 +52,11 @@ from .discrimination import (
 )
 from .errors import CapExceeded, CircuitParseError
 from .statevector import (
+    WIDTH_CAP,
     Distribution,
     StateVector,
     output_distribution,
     run,
-    width_cap,
     zero_overlap,
 )
 
@@ -75,6 +75,7 @@ __all__ = [
     "RandomizedCircuit",
     "StateVector",
     "ThresholdReport",
+    "WIDTH_CAP",
     "additive_certificate",
     "bound_chain",
     "build_randomized_circuit",
@@ -99,6 +100,5 @@ __all__ = [
     "sbp_thresholds",
     "serialize_circuit",
     "validate_circuit",
-    "width_cap",
     "zero_overlap",
 ]

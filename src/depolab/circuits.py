@@ -158,7 +158,8 @@ def outcome_string(index: int, width: int) -> str:
     """Bitstring for an outcome index, qubit 0 printed leftmost."""
     if not 0 <= index < (1 << width):
         raise ValueError(f"outcome {index} out of range for width {width}")
-    return "".join(str((index >> q) & 1) for q in range(width))
+    # The top bit pads to width digits; [:0:-1] reverses and drops it.
+    return format(index | 1 << width, "b")[:0:-1]
 
 
 def random_circuit(width: int, gate_count: int, rng: np.random.Generator) -> Circuit:

@@ -85,7 +85,7 @@ def _certificate_dict(report) -> dict:
 def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
     circuit = _load_circuit(config.circuit_path)
     state = run(circuit)
-    dist = distribution_of(state, circuit.m)
+    dist = distribution_of(state)
     amp = complex(state.amps[0])
     results = {
         "width": circuit.width,
@@ -310,7 +310,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = run_experiment(config)
-        elapsed = time.perf_counter() - started
         payload = render_json(report) + "\n"
         if config.out_path is not None:
             with open(config.out_path, "w", encoding="utf-8") as handle:
@@ -318,6 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(payload)
             sys.stdout.flush()
+        elapsed = time.perf_counter() - started
     except CircuitParseError as err:
         print(f"depolab: circuit file error: {err}", file=sys.stderr)
         return 3

@@ -47,7 +47,7 @@ import numpy as np
 from .circuits import Circuit, Gate, check_circuit, gate_problems
 from .depol import check_fidelity, check_positive_int
 from .errors import CapExceeded
-from .statevector import Distribution, _apply_gate_inplace, width_cap
+from .statevector import WIDTH_CAP, Distribution, _apply_gate_inplace
 
 # Exact branch enumeration walks all 2**m ancilla strings; past this it is
 # no longer a desk-scale computation.
@@ -113,9 +113,8 @@ def mixture_distribution(rc: RandomizedCircuit) -> Distribution:
     need = f"2**{w + m + 4} bytes of amplitudes"
     if m > BRANCH_CAP:
         raise CapExceeded(f"{m} steps means 2**{m} branches, {need}; the cap is {BRANCH_CAP}")
-    cap = width_cap()
-    if w + m > cap:
-        raise CapExceeded(f"total width {w + m} exceeds the cap of {cap} qubits ({need})")
+    if w + m > WIDTH_CAP:
+        raise CapExceeded(f"total width {w + m} exceeds the cap of {WIDTH_CAP} qubits ({need})")
     states = np.zeros((1 << m, 1 << w), dtype=np.complex128)
     states[0, 0] = 1.0
     for j, (primary, alternate) in enumerate(rc.steps):

@@ -28,7 +28,7 @@ products.  POWER_CAP bounds the length of that vector, and also the
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -53,15 +53,14 @@ class DensityMatrix:
     width: int
     mat: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    _: KW_ONLY
-    tol: InitVar[float] = EXACT_TOL
+    tol: float = field(default=EXACT_TOL, kw_only=True, repr=False, compare=False)
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         d = 1 << self.width
         mat = _freeze(self, "mat", np.complex128, (d, d), f"a {d}x{d} matrix")
         if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=EXACT_TOL):
             raise ValueError("matrix is not Hermitian")
-        _check_unit("trace", complex(np.trace(mat)), tol)
+        _check_unit("trace", complex(np.trace(mat)), self.tol)
         spectrum = np.linalg.eigvalsh(mat)
         if spectrum[0] < EIG_FLOOR:  # eigvalsh sorts ascending
             raise ValueError(f"eigenvalue {float(spectrum[0])!r} below {EIG_FLOOR}")

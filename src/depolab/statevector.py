@@ -9,14 +9,13 @@ C-contiguous array whose last axis is the amplitude index works, so a
 batch of states advances in one call.
 
 No approximation anywhere: simulation is exact up to float round-off, and
-widths are capped (default 24 qubits, env override DEPOLAB_MAX_QUBITS,
-hard limit 26) rather than degraded.
+widths are capped at WIDTH_CAP qubits rather than degraded.  StateVector
+and Distribution keep the tol their norm or sum was checked within.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from .circuits import Circuit, Gate, check_circuit
 from .errors import CapExceeded
 from .tolerances import EXACT_TOL
 
-DEFAULT_WIDTH_CAP = 24
-HARD_WIDTH_CAP = 26
+# Largest simulable width: 2**24 complex128 amplitudes are 2**28 bytes.
+WIDTH_CAP = 24
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -44,20 +43,6 @@ GATE_MATRICES = {
     "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
     "I1": np.eye(2, dtype=complex),
 }
-
-
-def width_cap() -> int:
-    """Largest simulable width: DEPOLAB_MAX_QUBITS if set, else 24, never above 26."""
-    raw = os.environ.get("DEPOLAB_MAX_QUBITS")
-    if raw is None:
-        return DEFAULT_WIDTH_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"DEPOLAB_MAX_QUBITS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"DEPOLAB_MAX_QUBITS must be >= 1, got {value}")
-    return min(value, HARD_WIDTH_CAP)
 
 
 def _freeze(obj, name: str, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -84,13 +69,12 @@ class StateVector:
 
     width: int
     amps: np.ndarray
-    _: KW_ONLY
-    tol: InitVar[float] = EXACT_TOL
+    tol: float = field(default=EXACT_TOL, kw_only=True, repr=False, compare=False)
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         d = 1 << self.width
         amps = _freeze(self, "amps", np.complex128, (d,), f"{d} amplitudes")
-        _check_unit("state norm", float(np.linalg.norm(amps)), tol)
+        _check_unit("state norm", float(np.linalg.norm(amps)), self.tol)
 
 
 @dataclass(frozen=True)
@@ -100,15 +84,14 @@ class Distribution:
 
     width: int
     probs: np.ndarray
-    _: KW_ONLY
-    tol: InitVar[float] = EXACT_TOL
+    tol: float = field(default=EXACT_TOL, kw_only=True, repr=False, compare=False)
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         d = 1 << self.width
         probs = _freeze(self, "probs", np.float64, (d,), f"{d} probabilities")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
-        _check_unit("probability sum", float(probs.sum()), tol)
+        _check_unit("probability sum", float(probs.sum()), self.tol)
 
 
 def _pinned(bits: np.ndarray, width: int, *pins: tuple[int, int]) -> np.ndarray:
@@ -147,10 +130,9 @@ def run(circuit: Circuit) -> StateVector:
     """Simulate the circuit from |0...0> and return the final state, its
     norm checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
     check_circuit(circuit)
-    cap = width_cap()
-    if circuit.width > cap:
+    if circuit.width > WIDTH_CAP:
         raise CapExceeded(
-            f"circuit width {circuit.width} exceeds the cap of {cap} qubits; its "
+            f"circuit width {circuit.width} exceeds the cap of {WIDTH_CAP} qubits; its "
             f"2**{circuit.width} amplitudes need 2**{circuit.width + 4} bytes"
         )
     amps = np.zeros(1 << circuit.width, dtype=np.complex128)
@@ -160,16 +142,15 @@ def run(circuit: Circuit) -> StateVector:
     return StateVector(circuit.width, amps, tol=EXACT_TOL + GATE_ROUNDOFF * circuit.m)
 
 
-def distribution_of(state: StateVector, gate_count: int) -> Distribution:
-    """|amplitude|^2 per outcome of a state that gate_count gates produced,
-    its sum checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
-    tol = EXACT_TOL + GATE_ROUNDOFF * gate_count
-    return Distribution(state.width, np.abs(state.amps) ** 2, tol=tol)
+def distribution_of(state: StateVector) -> Distribution:
+    """|amplitude|^2 per outcome, its sum checked within the state's own tol
+    (for a simulated state, GATE_ROUNDOFF per gate bounds that sum's drift)."""
+    return Distribution(state.width, np.abs(state.amps) ** 2, tol=state.tol)
 
 
 def output_distribution(circuit: Circuit) -> Distribution:
     """Exact sampling distribution of the circuit: |amplitude|^2 per outcome."""
-    return distribution_of(run(circuit), circuit.m)
+    return distribution_of(run(circuit))
 
 
 def zero_overlap(circuit: Circuit) -> complex:

@@ -153,6 +153,11 @@ def brute_helstrom(rho0, rho1, k: int) -> tuple[float, float]:
     return p_correct, 0.5 * (hit1 + hit0)
 
 
+def loop_outcome_string(index: int, width: int) -> str:
+    """Outcome bitstring one bit at a time, qubit 0 leftmost."""
+    return "".join(str((index >> q) & 1) for q in range(width))
+
+
 def brute_checksum(probs) -> str:
     """sha256 of every probability's .17g text, joined by commas."""
     payload = ",".join(format(p, ".17g") for p in probs)

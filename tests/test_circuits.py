@@ -15,6 +15,7 @@ from depolab import (
     serialize_circuit,
     validate_circuit,
 )
+from oracles import loop_outcome_string
 from strategies import circuits
 
 
@@ -190,9 +191,19 @@ class TestOutcomeString:
         assert outcome_string(1, 3) == "100"
         assert outcome_string(4, 3) == "001"
         assert outcome_string(6, 3) == "011"
+        assert outcome_string(0, 0) == ""
 
     def test_range_check(self):
         with pytest.raises(ValueError):
             outcome_string(8, 3)
         with pytest.raises(ValueError):
             outcome_string(-1, 3)
+        with pytest.raises(ValueError):
+            outcome_string(1, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_bit_loop(self, data):
+        width = data.draw(st.integers(0, 60), label="width")
+        index = data.draw(st.integers(0, (1 << width) - 1), label="index")
+        assert outcome_string(index, width) == loop_outcome_string(index, width)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import hypothesis.strategies as st
@@ -343,6 +344,18 @@ class TestEndToEnd:
         report = json.loads(proc.stdout)
         assert report["passed"] is True
         assert "wall time" in proc.stderr
+
+    def test_wall_time_covers_rendering(self, capsys, monkeypatch, bell_path):
+        render = depolab.cli.render_json
+
+        def slow_render(report):
+            time.sleep(0.2)
+            return render(report)
+
+        monkeypatch.setattr(depolab.cli, "render_json", slow_render)
+        assert main(["simulate", "--circuit", bell_path]) == 0
+        wall = capsys.readouterr().err.split("# wall time: ")[1].split()[0]
+        assert float(wall) >= 0.2
 
 
 # Whole command lines: a subcommand (or an unknown one), some of the flags

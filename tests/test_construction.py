@@ -116,10 +116,9 @@ class TestMixture:
         with pytest.raises(CapExceeded, match=r"branches, 2\*\*26 bytes"):
             mixture_distribution(build_randomized_circuit(wide))
 
-    def test_total_width_cap(self, monkeypatch):
-        monkeypatch.setenv("DEPOLAB_MAX_QUBITS", "8")
-        rc = rc_from("qubits 4\nH 0\nH 1\nH 2\nH 3\nH 0\n")  # 4 + 5 = 9 qubits
-        with pytest.raises(CapExceeded, match=r"total width 9 .*2\*\*13 bytes"):
+    def test_total_width_cap(self):
+        rc = rc_from("qubits 5\n" + "H 0\n" * 20)  # 5 + 20 = 25 qubits
+        with pytest.raises(CapExceeded, match=r"total width 25 .*2\*\*29 bytes"):
             mixture_distribution(rc)
 
 

@@ -88,7 +88,10 @@ class TestDensityTypes:
         mat = np.diag([0.5 + 3e-12, 0.5])
         with pytest.raises(ValueError, match="within 1e-12"):
             DensityMatrix(1, mat)
-        assert DensityMatrix(1, mat, tol=1e-11).spectrum[1] == 0.5 + 3e-12
+        widened = DensityMatrix(1, mat, tol=1e-11)
+        assert widened.spectrum[1] == 0.5 + 3e-12
+        assert widened.tol == 1e-11
+        assert "tol" not in repr(widened)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):

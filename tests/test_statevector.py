@@ -8,13 +8,14 @@ from depolab import (
     Distribution,
     Gate,
     StateVector,
+    WIDTH_CAP,
     output_distribution,
     parse_circuit,
     run,
-    width_cap,
     zero_overlap,
 )
-from depolab.statevector import _apply_gate_inplace
+from depolab.statevector import GATE_ROUNDOFF, _apply_gate_inplace
+from depolab.tolerances import EXACT_TOL
 from oracles import brute_amplitudes, brute_distribution, dense_unitary
 from strategies import circuits
 
@@ -140,27 +141,10 @@ class TestZeroOverlap:
 
 
 class TestWidthCap:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("DEPOLAB_MAX_QUBITS", raising=False)
-        assert width_cap() == 24
+    def test_default(self):
+        assert WIDTH_CAP == 24
         with pytest.raises(CapExceeded, match=r"width 25.* 2\*\*29 bytes"):
             run(Circuit(25, ()))
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("DEPOLAB_MAX_QUBITS", "4")
-        assert width_cap() == 4
-        with pytest.raises(CapExceeded):
-            run(Circuit(5, ()))
-        assert run(Circuit(4, ())).width == 4
-
-    def test_hard_limit(self, monkeypatch):
-        monkeypatch.setenv("DEPOLAB_MAX_QUBITS", "30")
-        assert width_cap() == 26
-
-    def test_garbage_env(self, monkeypatch):
-        monkeypatch.setenv("DEPOLAB_MAX_QUBITS", "lots")
-        with pytest.raises(ValueError, match="DEPOLAB_MAX_QUBITS"):
-            width_cap()
 
 
 class TestTypes:
@@ -209,6 +193,14 @@ class TestTypes:
         with pytest.raises(ValueError, match="within 1e-12"):
             cls(1, values)
         widened = cls(1, values, tol=1e-11)
-        assert "tol" not in repr(widened)  # an init argument, not a field
+        assert widened.tol == 1e-11
+        assert cls(1, values, tol=1e-10).tol == 1e-10
+        assert cls(1, [1.0, 0.0]).tol == EXACT_TOL
+        assert "tol" not in repr(widened)  # repr=False
         with pytest.raises(TypeError):
             cls(1, values, 1e-11)  # tol is keyword-only
+
+    def test_simulated_tol_carries_to_the_distribution(self, ghz_circuit):
+        tol = EXACT_TOL + GATE_ROUNDOFF * ghz_circuit.m
+        assert run(ghz_circuit).tol == tol
+        assert output_distribution(ghz_circuit).tol == tol
