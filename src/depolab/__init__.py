@@ -9,7 +9,7 @@ depolarization, and evaluates how little k copies help in distinguishing
 the depolarized state from pure noise.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .circuits import (
     Circuit,
@@ -47,7 +47,6 @@ from .discrimination import (
     ChainReport,
     DensityMatrix,
     bound_chain,
-    density_from_pure,
     random_density_matrix,
 )
 from .errors import CapExceeded, CircuitParseError
@@ -82,7 +81,6 @@ __all__ = [
     "check_fidelity",
     "check_positive_int",
     "check_seed",
-    "density_from_pure",
     "depolarize",
     "depolarized_acceptance",
     "empirical_tv",

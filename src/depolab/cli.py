@@ -44,7 +44,7 @@ from .depol import (
     multiplicative_certificate,
     sample,
 )
-from .discrimination import bound_chain, density_from_pure, random_density_matrix
+from .discrimination import bound_chain, random_density_matrix
 from .errors import CapExceeded, CircuitParseError
 from .reports import render_floats, render_json
 from .statevector import distribution_of, output_distribution, run, zero_overlap
@@ -184,7 +184,7 @@ def _run_sbp_gap(config: ExperimentConfig) -> tuple[dict, bool]:
 def _run_discriminate(config: ExperimentConfig) -> tuple[dict, bool]:
     if config.circuit_path is not None:
         circuit = _load_circuit(config.circuit_path)
-        rho = density_from_pure(run(circuit))
+        rho = run(circuit)
         source = "circuit"
     else:
         rho = random_density_matrix(config.w, config.seed)

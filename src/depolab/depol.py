@@ -108,8 +108,9 @@ def sample(dist: Distribution, seed: int, count: int) -> dict[int, int]:
     u = rng.random(count)
     cdf = np.cumsum(dist.probs)
     drawn = np.searchsorted(cdf, u, side="right")
-    # cdf[-1] can round to slightly below 1; fold the sliver into the last bin.
-    drawn = np.minimum(drawn, (1 << dist.width) - 1)
+    # cdf[-1] can round to slightly below 1; fold the sliver into the last
+    # outcome that has probability, never into a trailing zero.
+    drawn = np.minimum(drawn, np.flatnonzero(dist.probs)[-1])
     tallies = np.bincount(drawn, minlength=1 << dist.width)
     outcomes = np.flatnonzero(tallies)
     return dict(zip(outcomes.tolist(), tallies[outcomes].tolist()))

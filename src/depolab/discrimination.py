@@ -18,12 +18,12 @@ so p_correct <= 1/2 + k*F/2: with fidelity F, even k copies and the best
 measurement only beat coin flipping by k*F/2.  bound_chain evaluates every
 line of that chain numerically and reports both sides of each.
 
-Because rho0 = I/2**n commutes with everything, rho1^(x)k - rho0^(x)k is
-diagonal in the k-fold product eigenbasis of rho: its eigenvalues are the
-k-fold products of mu = F*spec(rho) + (1-F)/2**n, less 2**(-n*k).  So the
-k-copy norm needs one 2**n x 2**n eigvalsh plus a vector of 2**(k*n)
-products.  POWER_CAP bounds the length of that vector, and also the
-2**(2*n) entries of the density matrix itself, so n <= 11.
+Because rho0 = I/2**n commutes with everything, every norm in the chain
+is a sum over mu = F*spec(rho) + (1-F)/2**n: rho1 - rho0 has eigenvalues
+mu - 2**-n, and rho1^(x)k - rho0^(x)k has the k-fold products of mu, less
+2**(-n*k).  So bound_chain reads only spec(rho), and a circuit's pure
+state is never densified.  POWER_CAP bounds the 2**(k*n) products, and
+also the 2**(2*n) entries of a seeded random density (n <= 11).
 """
 
 from __future__ import annotations
@@ -44,16 +44,17 @@ from .tolerances import EIG_FLOOR, EXACT_TOL, ORACLE_TOL
 POWER_CAP = 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix: Hermitian, unit trace within tol
     (EXACT_TOL unless the caller knows a round-off bound), PSD up to slack.
-    spectrum keeps the ascending eigenvalues the PSD check computed."""
+    spectrum keeps the ascending eigenvalues the PSD check computed.
+    Equality and hashing are by identity."""
 
     width: int
     mat: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    tol: float = field(default=EXACT_TOL, kw_only=True, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
+    tol: float = field(default=EXACT_TOL, kw_only=True, repr=False)
 
     def __post_init__(self):
         d = 1 << self.width
@@ -68,27 +69,6 @@ class DensityMatrix:
         object.__setattr__(self, "spectrum", spectrum)
 
 
-def _check_density_width(width: int) -> None:
-    """Refuse a density matrix too large to build: its 2**(2*width)
-    complex128 entries share POWER_CAP with the k-copy spectrum."""
-    if 2 * width > POWER_CAP:
-        raise CapExceeded(
-            f"a {width}-qubit density matrix holds 2**{2 * width} complex entries, "
-            f"which need 2**{2 * width + 4} bytes; the cap is {POWER_CAP // 2} qubits "
-            f"({16 << POWER_CAP} bytes)"
-        )
-
-
-def density_from_pure(state: StateVector) -> DensityMatrix:
-    """Rank-one density |psi><psi| of a statevector.  Its trace is the
-    squared norm, so it is checked within EXACT_TOL plus the state's own
-    measured drift of that norm (a simulated state may carry round-off)."""
-    _check_density_width(state.width)
-    drift = abs(float(np.linalg.norm(state.amps)) ** 2 - 1.0)
-    mat = np.outer(state.amps, state.amps.conj())
-    return DensityMatrix(state.width, mat, tol=EXACT_TOL + drift)
-
-
 def random_density_matrix(width: int, seed: int, rank: int | None = None) -> DensityMatrix:
     """Seeded random density: G G^dag / tr for a complex Gaussian G.
 
@@ -96,7 +76,13 @@ def random_density_matrix(width: int, seed: int, rank: int | None = None) -> Den
     """
     check_seed(seed)
     width = check_positive_int("width", width)
-    _check_density_width(width)
+    # Its 2**(2*width) entries share POWER_CAP; refuse them before allocating.
+    if 2 * width > POWER_CAP:
+        raise CapExceeded(
+            f"a {width}-qubit density matrix holds 2**{2 * width} complex entries, "
+            f"which need 2**{2 * width + 4} bytes; the cap is {POWER_CAP // 2} qubits "
+            f"({16 << POWER_CAP} bytes)"
+        )
     d = 1 << width
     r = d if rank is None else int(rank)
     if not 1 <= r <= d:
@@ -144,8 +130,11 @@ class ChainReport:
         return all(link.passed for link in self.links)
 
 
-def bound_chain(rho: DensityMatrix, fidelity: float, k: int) -> ChainReport:
+def bound_chain(rho: DensityMatrix | StateVector, fidelity: float, k: int) -> ChainReport:
     """Evaluate the whole discrimination bound chain for (rho, F, k).
+
+    rho is a DensityMatrix or a pure StateVector; only its width and
+    spectrum are read, so a circuit's state needs no density matrix.
 
     Links, in order (equalities checked within ORACLE_TOL, inequalities
     allowed the same slack):
@@ -161,15 +150,14 @@ def bound_chain(rho: DensityMatrix, fidelity: float, k: int) -> ChainReport:
     f = check_fidelity(fidelity)
     _check_power_cap(rho.width, k)
     d = 1 << rho.width
-    mixed = np.eye(d) / d
-    noisy = f * rho.mat + (1.0 - f) * mixed
+    spectrum = rho.spectrum
+    # rho1 = F*rho + (1-F)*I/d has the noisy spectrum mu in rho's eigenbasis.
+    mu = f * spectrum + (1.0 - f) / d
+    base_norm = float(np.abs(spectrum - 1.0 / d).sum())
+    single_norm = float(np.abs(mu - 1.0 / d).sum())
 
-    base_norm = float(np.abs(rho.spectrum - 1.0 / d).sum())
-    single_norm = float(np.abs(np.linalg.eigvalsh(noisy - mixed)).sum())
-
-    # Eigenvalues of rho1^(x)k - rho0^(x)k: every k-fold product of the
-    # noisy spectrum mu, less the d**-k that I/d**k adds on the diagonal.
-    mu = f * rho.spectrum + (1.0 - f) / d
+    # Eigenvalues of rho1^(x)k - rho0^(x)k: every k-fold product of mu,
+    # less the d**-k that I/d**k adds on the diagonal.
     delta = reduce(np.multiply.outer, [mu] * int(k)).ravel() - float(d) ** -k
     # Link 1's measured side: guessing rho1 on the positive eigenspace
     # succeeds with 1/2 + (1/2) * (sum of positive eigenvalues), which

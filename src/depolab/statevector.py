@@ -10,7 +10,8 @@ batch of states advances in one call.
 
 No approximation anywhere: simulation is exact up to float round-off, and
 widths are capped at WIDTH_CAP qubits rather than degraded.  StateVector
-and Distribution keep the tol their norm or sum was checked within.
+and Distribution keep the tol their norm or sum was checked within, and
+compare and hash by identity (their arrays have no single truth value).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _check_unit(what: str, value: complex, tol: float) -> None:
         raise ValueError(f"{what} {value!r} is not 1 within {tol}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit-norm amplitudes over 2**width basis states.  Immutable: the
     array is copied in and marked read-only.  The norm is checked within
@@ -69,22 +70,30 @@ class StateVector:
 
     width: int
     amps: np.ndarray
-    tol: float = field(default=EXACT_TOL, kw_only=True, repr=False, compare=False)
+    tol: float = field(default=EXACT_TOL, kw_only=True, repr=False)
 
     def __post_init__(self):
         d = 1 << self.width
         amps = _freeze(self, "amps", np.complex128, (d,), f"{d} amplitudes")
         _check_unit("state norm", float(np.linalg.norm(amps)), self.tol)
 
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of |psi><psi|, ascending like DensityMatrix.spectrum:
+        2**width - 1 zeros, then the squared norm (1 up to the state's drift)."""
+        spectrum = np.zeros(1 << self.width)
+        spectrum[-1] = np.vdot(self.amps, self.amps).real
+        return spectrum
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Probabilities over 2**width outcomes: nonnegative, summing to 1
     within tol (EXACT_TOL unless the caller knows a round-off bound)."""
 
     width: int
     probs: np.ndarray
-    tol: float = field(default=EXACT_TOL, kw_only=True, repr=False, compare=False)
+    tol: float = field(default=EXACT_TOL, kw_only=True, repr=False)
 
     def __post_init__(self):
         d = 1 << self.width

@@ -9,7 +9,8 @@ that formats every float on its own.
 
 The last section holds helpers that only the tests need, built on the
 package's public types: a sampled branch of a randomized circuit, the
-maximally mixed state, and density-level depolarization.
+maximally mixed state, the dense density of a pure state, and
+density-level depolarization.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from functools import reduce
 
 import numpy as np
 
-from depolab import Circuit, DensityMatrix, Gate, check_fidelity, check_seed
+from depolab import Circuit, DensityMatrix, Gate, StateVector, check_fidelity, check_seed
+from depolab.tolerances import EXACT_TOL
 
 _S2 = 2.0**-0.5
 GATES_1Q = {
@@ -192,6 +194,15 @@ def maximally_mixed(width: int) -> DensityMatrix:
     """I / 2**width."""
     d = 1 << width
     return DensityMatrix(width, np.eye(d) / d)
+
+
+def pure_density(state: StateVector) -> DensityMatrix:
+    """Rank-one density |psi><psi| of a statevector.  Its trace is the
+    squared norm, so it is checked within EXACT_TOL plus the state's own
+    measured drift of that norm (a simulated state may carry round-off)."""
+    drift = abs(float(np.linalg.norm(state.amps)) ** 2 - 1.0)
+    mat = np.outer(state.amps, state.amps.conj())
+    return DensityMatrix(state.width, mat, tol=EXACT_TOL + drift)
 
 
 def depolarize_density(rho: DensityMatrix, fidelity: float) -> DensityMatrix:

@@ -253,13 +253,20 @@ class TestErrorPaths:
         assert main(argv) == 4
         assert "160000000000 bytes" in capsys.readouterr().err
 
-    def test_density_width_cap_exits_four(self, capsys, tmp_path):
+    def test_density_width_cap_exits_four(self, capsys):
         # A 12-qubit density matrix would need 2**28 bytes before any check.
+        assert main(["discriminate", "--w", "12"]) == 4
+        assert "2**28 bytes" in capsys.readouterr().err
+
+    def test_circuit_state_skips_the_density_cap(self, capsys, tmp_path):
+        # A circuit's pure state is never densified: 12 qubits run, and only
+        # POWER_CAP stops 2 copies (24 qubits, 2**27 bytes of eigenvalues).
         path = tmp_path / "twelve.qc"
         path.write_text("qubits 12\nH 0\n")
-        for source in (["--w", "12"], ["--circuit", str(path)]):
-            assert main(["discriminate", *source]) == 4
-            assert "2**28 bytes" in capsys.readouterr().err
+        assert main(["discriminate", "--circuit", str(path)]) == 0
+        assert capsys.readouterr().err.startswith("# wall time")
+        assert main(["discriminate", "--circuit", str(path), "--k", "2"]) == 4
+        assert "2**27 bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, value, expected",

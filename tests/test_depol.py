@@ -100,6 +100,11 @@ class TestSample:
         assert set(tally) <= {0, 3}
         assert sum(tally.values()) == 5000
 
+    def test_sum_shortfall_never_lands_on_a_zero_outcome(self):
+        # cdf[-1] = 0.9 within tol 0.2: the draws above it go to outcome 0,
+        # the last one with probability, never to outcome 1 (probability 0).
+        assert sample(Distribution(1, [0.9, 0.0], tol=0.2), 1, 1000) == {0: 1000}
+
     @given(distributions(max_width=3), seeds)
     @settings(max_examples=25)
     def test_deterministic(self, dist, seed):

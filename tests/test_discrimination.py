@@ -5,13 +5,12 @@ import hypothesis.strategies as st
 
 from depolab import (
     CapExceeded,
-    Circuit,
     DensityMatrix,
     StateVector,
     bound_chain,
-    density_from_pure,
     depolarize,
     output_distribution,
+    random_circuit,
     random_density_matrix,
     run,
 )
@@ -22,6 +21,7 @@ from oracles import (
     brute_trace_norm,
     depolarize_density,
     maximally_mixed,
+    pure_density,
     trace_norm_diff,
 )
 from strategies import seeds
@@ -39,11 +39,11 @@ def one_density():
 
 class TestDensityTypes:
     def test_from_pure_zero(self):
-        rho = density_from_pure(StateVector(1, np.array([1.0, 0.0])))
+        rho = pure_density(StateVector(1, np.array([1.0, 0.0])))
         assert np.allclose(rho.mat, [[1, 0], [0, 0]])
 
     def test_from_pure_bell(self, bell_circuit):
-        rho = density_from_pure(run(bell_circuit))
+        rho = pure_density(run(bell_circuit))
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
         assert np.allclose(rho.mat, expected, atol=1e-12)
@@ -53,7 +53,7 @@ class TestDensityTypes:
         # its density inherits that trace drift.
         amps = np.array([1.0 + 3e-12, 0.0])
         state = StateVector(1, amps, tol=1e-11)
-        assert density_from_pure(state).mat[0, 0] == (1.0 + 3e-12) ** 2
+        assert pure_density(state).mat[0, 0] == (1.0 + 3e-12) ** 2
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(1, np.outer(amps, amps))
 
@@ -69,8 +69,6 @@ class TestDensityTypes:
         # 12 qubits: 2**24 complex entries, 2**28 bytes; the cap is 11 qubits.
         with pytest.raises(CapExceeded, match=r"2\*\*28 bytes; the cap is 11 qubits"):
             random_density_matrix(12, 0)
-        with pytest.raises(CapExceeded, match=r"2\*\*28 bytes"):
-            density_from_pure(run(Circuit(12, ())))
 
     def test_maximally_mixed(self):
         rho = maximally_mixed(2)
@@ -132,7 +130,7 @@ class TestDepolarizeDensity:
     def test_diagonal_matches_distribution_map(self, ghz_circuit):
         # Depolarizing a state and depolarizing its outcome distribution
         # must agree on the diagonal.
-        rho = density_from_pure(run(ghz_circuit))
+        rho = pure_density(run(ghz_circuit))
         noisy_diag = np.diag(depolarize_density(rho, 0.3).mat).real
         dist_route = depolarize(output_distribution(ghz_circuit), 0.3).probs
         assert np.allclose(noisy_diag, dist_route, atol=1e-12)
@@ -189,11 +187,18 @@ class TestHelstrom:
 
 @st.composite
 def chain_cases(draw):
-    """(rho, F, k) with k * width <= 8, so the dense oracle stays cheap."""
+    """(rho, F, k) with k * width <= 8, so the dense oracle stays cheap.
+    rho is a random density of rank 1 or full rank, or the pure StateVector
+    of a random circuit."""
     width = draw(st.integers(1, 4))
     k = draw(st.integers(1, 8 // width))
-    rank = draw(st.sampled_from([1, None]))
-    rho = random_density_matrix(width, draw(seeds), rank=rank)
+    seed = draw(seeds)
+    kind = draw(st.sampled_from(["rank one", "full rank", "circuit"]))
+    if kind == "circuit":
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        rho = run(random_circuit(width, draw(st.integers(0, 16)), rng))
+    else:
+        rho = random_density_matrix(width, seed, rank=1 if kind == "rank one" else None)
     return rho, draw(st.sampled_from([0.5, 0.0625, 0.00390625])), k
 
 
@@ -202,16 +207,17 @@ class TestSpectralRouteMatchesDenseOracle:
     @settings(max_examples=60)
     def test_every_link_matches_oracle(self, case):
         rho, f, k = case
+        mat = pure_density(rho).mat if isinstance(rho, StateVector) else rho.mat
         d = 1 << rho.width
         mixed = np.eye(d) / d
-        noisy = f * rho.mat + (1.0 - f) * mixed
+        noisy = f * mat + (1.0 - f) * mixed
         p_correct, measured = brute_helstrom(mixed, noisy, k)
         single, _ = brute_helstrom(mixed, noisy, 1)
         expected = {
             "helstrom_value": measured,
             "tensor_subadditivity": 4.0 * (p_correct - 0.5),
             "noise_scaling": 4.0 * (single - 0.5),
-            "distance_cap": brute_trace_norm(rho.mat, mixed),
+            "distance_cap": brute_trace_norm(mat, mixed),
             "correctness_cap": p_correct,
         }
         report = bound_chain(rho, f, k)
@@ -271,7 +277,8 @@ class TestBoundChain:
         assert values[0] > values[1] > values[2]
 
     def test_eigh_route_matches_brute_norm(self):
-        # noise_scaling's lhs is bound_chain's own eigvalsh of noisy - I/d.
+        # noise_scaling's lhs is bound_chain's sum of |mu - 1/d| over the
+        # noisy spectrum; the oracle diagonalizes the dense noisy - I/d.
         rho = random_density_matrix(2, 9)
         noisy = depolarize_density(rho, 0.5)
         single_norm = bound_chain(rho, 0.5, 1).links[2].lhs

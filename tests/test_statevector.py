@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from depolab import (
     CapExceeded,
     Circuit,
+    DensityMatrix,
     Distribution,
     Gate,
     StateVector,
@@ -16,7 +17,7 @@ from depolab import (
 )
 from depolab.statevector import GATE_ROUNDOFF, _apply_gate_inplace
 from depolab.tolerances import EXACT_TOL
-from oracles import brute_amplitudes, brute_distribution, dense_unitary
+from oracles import brute_amplitudes, brute_distribution, dense_unitary, pure_density
 from strategies import circuits
 
 S2 = 2.0**-0.5
@@ -204,3 +205,38 @@ class TestTypes:
         tol = EXACT_TOL + GATE_ROUNDOFF * ghz_circuit.m
         assert run(ghz_circuit).tol == tol
         assert output_distribution(ghz_circuit).tol == tol
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StateVector(1, [S2, S2]),
+            lambda: Distribution(1, [0.5, 0.5]),
+            lambda: DensityMatrix(1, np.eye(2) / 2),
+        ],
+        ids=["StateVector", "Distribution", "DensityMatrix"],
+    )
+    def test_identity_equality_and_hash(self, make):
+        x = make()
+        assert x == x
+        # An equal copy compares false, instead of asking numpy for the
+        # truth value of an array.
+        assert not (x == make())
+        assert x != make()
+        assert hash(x) == hash(x)
+        assert len({x, make(), x}) == 2
+
+
+class TestPureSpectrum:
+    def test_ascending_with_the_squared_norm_last(self, ghz_circuit):
+        state = run(ghz_circuit)
+        spectrum = state.spectrum
+        assert np.array_equal(spectrum[:-1], np.zeros(7))
+        assert spectrum[-1] == pytest.approx(np.sum(np.abs(state.amps) ** 2), rel=1e-15)
+        # The dense rank-one density has the same ascending eigenvalues.
+        dense = np.linalg.eigvalsh(pure_density(state).mat)
+        assert np.allclose(dense, spectrum, rtol=0.0, atol=1e-12)
+        # A state off unit norm keeps its drift in the spectrum.
+        drifted = StateVector(1, np.array([1.0 + 3e-12, 0.0]), tol=1e-11)
+        assert drifted.spectrum[0] == 0.0
+        assert drifted.spectrum[1] == pytest.approx((1.0 + 3e-12) ** 2, rel=1e-15)
+        assert drifted.spectrum[1] != 1.0
