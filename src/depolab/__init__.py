@@ -9,7 +9,7 @@ depolarization, and evaluates how little k copies help in distinguishing
 the depolarized state from pure noise.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .circuits import (
     Circuit,
@@ -19,13 +19,11 @@ from .circuits import (
     parse_circuit,
     random_circuit,
     serialize_circuit,
-    validate_circuit,
 )
 from .construction import (
     HardnessGap,
     RandomizedCircuit,
     ThresholdReport,
-    build_randomized_circuit,
     depolarized_acceptance,
     hardness_gap,
     mixture_distribution,
@@ -77,7 +75,6 @@ __all__ = [
     "WIDTH_CAP",
     "additive_certificate",
     "bound_chain",
-    "build_randomized_circuit",
     "check_fidelity",
     "check_positive_int",
     "check_seed",
@@ -97,6 +94,5 @@ __all__ = [
     "sample",
     "sbp_thresholds",
     "serialize_circuit",
-    "validate_circuit",
     "zero_overlap",
 ]

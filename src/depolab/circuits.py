@@ -18,10 +18,10 @@ Qubit 0 is the least significant bit of an outcome index; rendered outcome
 strings print qubit 0 leftmost.
 
 Validation has one source: gate_problems holds the gate rules (kind,
-arity, target range, distinct targets).  validate_circuit lists every
-violation in a Circuit, check_circuit raises them as one ValueError for
-the simulators and the randomized construction, and parse_circuit reports
-the first one on a line with that line's 1-based number.
+arity, target range, distinct targets).  A Circuit checks itself when it
+is built and raises every violation as one ValueError, so no consumer
+checks it again; parse_circuit reports the first one on a line with that
+line's 1-based number.
 """
 
 from __future__ import annotations
@@ -48,11 +48,20 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Width plus ordered gates.  A plain record: build anything, then ask
-    validate_circuit() whether it is legal."""
+    """Width plus ordered gates, legal by construction: gates is stored as
+    a tuple, and width >= 1 and every gate are checked against
+    gate_problems.  Positions in messages are 0-based gate indices."""
 
     width: int
     gates: tuple[Gate, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
+        problems = [f"width must be >= 1, got {self.width}"] if self.width < 1 else []
+        for i, g in enumerate(self.gates):
+            problems.extend(f"gate {i}: {p}" for p in gate_problems(g, self.width))
+        if problems:
+            raise ValueError("invalid circuit: " + "; ".join(problems))
 
     @property
     def m(self) -> int:
@@ -81,34 +90,12 @@ def gate_problems(g: Gate, width: int) -> list[str]:
     return problems
 
 
-def validate_circuit(circuit: Circuit) -> list[str]:
-    """Return every invariant violation, [] when the circuit is valid.
-
-    Checks width >= 1 and every gate against gate_problems.  Positions in
-    messages are 0-based gate indices.
-    """
-    problems = []
-    if circuit.width < 1:
-        problems.append(f"width must be >= 1, got {circuit.width}")
-    for i, g in enumerate(circuit.gates):
-        problems.extend(f"gate {i}: {p}" for p in gate_problems(g, circuit.width))
-    return problems
-
-
-def check_circuit(circuit: Circuit) -> None:
-    """Raise ValueError naming every violation validate_circuit finds."""
-    problems = validate_circuit(circuit)
-    if problems:
-        raise ValueError("invalid circuit: " + "; ".join(problems))
-
-
 def parse_circuit(text: str) -> Circuit:
     """Parse the text format into a Circuit.
 
     Raises CircuitParseError (with a 1-based line number) on the first
     problem found: a bad header, a qubit token that is not an integer, or
-    the first of gate_problems for the line's gate.  The result always
-    passes validate_circuit().
+    the first of gate_problems for the line's gate.
     """
     width = None
     gates = []
@@ -144,7 +131,7 @@ def parse_circuit(text: str) -> Circuit:
         gates.append(g)
     if width is None:
         raise CircuitParseError(1, "missing 'qubits <n>' header")
-    return Circuit(width, tuple(gates))
+    return Circuit(width, gates)
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -181,4 +168,4 @@ def random_circuit(width: int, gate_count: int, rng: np.random.Generator) -> Cir
             gates.append(Gate(kind, (control, target)))
         else:
             gates.append(Gate(kind, (int(rng.integers(width)),)))
-    return Circuit(width, tuple(gates))
+    return Circuit(width, gates)

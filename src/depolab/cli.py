@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .circuits import outcome_string, parse_circuit
 from .construction import (
-    build_randomized_circuit,
+    RandomizedCircuit,
     depolarized_acceptance,
     mixture_distribution,
     sbp_thresholds,
@@ -154,7 +154,7 @@ def _mixture_checksum(rc) -> str | None:
 
 def _run_thm1(config: ExperimentConfig) -> tuple[dict, bool]:
     circuit = _load_circuit(config.circuit_path)
-    rc = build_randomized_circuit(circuit)
+    rc = RandomizedCircuit(circuit)
     q = abs(zero_overlap(circuit)) ** 2
     spikes = [
         {"fidelity": f, "p_acc_prime": depolarized_acceptance(rc, q, f)}

@@ -9,10 +9,9 @@ state is an equal mixture over all 2**m branch strings alpha:
 
     P(y, alpha) = 2**-m * |<y| xi_m^(alpha_m) ... xi_1^(alpha_1) |0^w>|^2
 
-where xi_j^0 = g_j and xi_j^1 is the alternate.  build_randomized_circuit
-takes X on g_j's first target as xi_j^1; RandomizedCircuit accepts any
-legal non-identity alternate, and checks V with circuits.check_circuit and
-each alternate with circuits.gate_problems.  Reading the full outcome
+where xi_j^0 = g_j and xi_j^1, the alternate, is X on g_j's first target.
+RandomizedCircuit is built from V alone: a Circuit is legal by
+construction, so its alternates are too.  Reading the full outcome
 (y, alpha), the all-zeros string keeps mass q / 2**m with
 q = |<0^w|V|0^w>|^2: sampling this mixture concentrates a detectable spike
 on 0^n exactly when V accepts.
@@ -39,12 +38,12 @@ rather than asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import Circuit, Gate, check_circuit, gate_problems
+from .circuits import Circuit, Gate
 from .depol import check_fidelity, check_positive_int
 from .errors import CapExceeded
 from .statevector import WIDTH_CAP, Distribution, _apply_gate_inplace
@@ -56,47 +55,31 @@ BRANCH_CAP = 20
 
 @dataclass(frozen=True)
 class RandomizedCircuit:
-    """A per-step pair (intended gate, alternate gate) over the main register.
+    """The randomized construction over a circuit V.
 
-    The alternate is what a tails-coin step applies instead of the intended
-    gate; any legal gate may serve except I1, or the ancilla flag would mark
-    a branch that did nothing different.  Ancilla j mirrors step j and lives
-    at full-register qubit main_width + j.
+    steps pairs each gate g_j of V with its alternate, X on g_j's first
+    target, which a tails-coin step applies instead.  Ancilla j mirrors
+    step j and lives at full-register qubit main_width + j.
     """
 
-    main_width: int
-    steps: tuple[tuple[Gate, Gate], ...]
+    circuit: Circuit
+    steps: tuple[tuple[Gate, Gate], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_circuit(self.primary_circuit())
-        for j, (_, alternate) in enumerate(self.steps):
-            problems = gate_problems(alternate, self.main_width)
-            if alternate.kind == "I1":
-                problems.append("the identity cannot be an alternate")
-            if problems:
-                raise ValueError(f"step {j}: invalid alternate gate: " + "; ".join(problems))
+        steps = tuple((g, Gate("X", g.targets[:1])) for g in self.circuit.gates)
+        object.__setattr__(self, "steps", steps)
+
+    @property
+    def main_width(self) -> int:
+        return self.circuit.width
 
     @property
     def ancilla_width(self) -> int:
-        return len(self.steps)
+        return self.circuit.m
 
     @property
     def total_width(self) -> int:
-        return self.main_width + len(self.steps)
-
-    def primary_circuit(self) -> Circuit:
-        """The original circuit V (all coins heads)."""
-        return Circuit(self.main_width, tuple(p for p, _ in self.steps))
-
-
-def build_randomized_circuit(circuit: Circuit) -> RandomizedCircuit:
-    """Pair every gate of `circuit` with X on its first target.
-
-    RandomizedCircuit checks the circuit and the alternates; build one
-    directly for any other choice of alternates.
-    """
-    steps = tuple((g, Gate("X", g.targets[:1])) for g in circuit.gates)
-    return RandomizedCircuit(circuit.width, steps)
+        return self.main_width + self.ancilla_width
 
 
 def mixture_distribution(rc: RandomizedCircuit) -> Distribution:

@@ -84,8 +84,8 @@ def random_density_matrix(width: int, seed: int, rank: int | None = None) -> Den
             f"({16 << POWER_CAP} bytes)"
         )
     d = 1 << width
-    r = d if rank is None else int(rank)
-    if not 1 <= r <= d:
+    r = d if rank is None else check_positive_int("rank", rank)
+    if r > d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, Gate, check_circuit
+from .circuits import Circuit, Gate
 from .errors import CapExceeded
 from .tolerances import EXACT_TOL
 
@@ -57,8 +57,11 @@ def _freeze(obj, name: str, dtype, shape: tuple[int, ...], what: str) -> np.ndar
 
 
 def _check_unit(what: str, value: complex, tol: float) -> None:
-    """Raise unless a norm, sum or trace is 1 within tol."""
-    if abs(value - 1.0) > tol:
+    """Raise unless a norm, sum or trace is 1 within tol, itself in [0, 1):
+    a tol of 1 or more would admit a zero vector.  NaN is never within."""
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
+    if not abs(value - 1.0) <= tol:
         raise ValueError(f"{what} {value!r} is not 1 within {tol}")
 
 
@@ -138,7 +141,6 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
 def run(circuit: Circuit) -> StateVector:
     """Simulate the circuit from |0...0> and return the final state, its
     norm checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
-    check_circuit(circuit)
     if circuit.width > WIDTH_CAP:
         raise CapExceeded(
             f"circuit width {circuit.width} exceeds the cap of {WIDTH_CAP} qubits; its "

@@ -8,9 +8,9 @@ k-copy tensor powers measured with an explicit projector, and a checksum
 that formats every float on its own.
 
 The last section holds helpers that only the tests need, built on the
-package's public types: a sampled branch of a randomized circuit, the
-maximally mixed state, the dense density of a pure state, and
-density-level depolarization.
+package's public types: a sampled branch of a randomized circuit and the
+circuit it runs, the maximally mixed state, the dense density of a pure
+state, and density-level depolarization.
 """
 
 from __future__ import annotations
@@ -169,17 +169,18 @@ def brute_checksum(probs) -> str:
 # Test-only helpers on the package's types.
 
 
-def sample_branch(rc, seed: int) -> tuple[tuple[int, ...], Circuit]:
-    """Draw one branch of a RandomizedCircuit: fair coin per step, keyed
-    Philox stream.
-
-    Returns (branch bits, realized circuit).  The realized circuit acts on
-    the full register: each step contributes its chosen main-register gate,
-    plus an X on ancilla j when the coin came up tails.
-    """
+def branch_bits(rc, seed: int) -> tuple[int, ...]:
+    """Draw one branch of a RandomizedCircuit: a fair coin per step from a
+    keyed Philox stream, 1 for tails."""
     check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=rc.ancilla_width))
+    return tuple(int(b) for b in rng.integers(0, 2, size=rc.ancilla_width))
+
+
+def realized_circuit(rc, bits: tuple[int, ...]) -> Circuit:
+    """The circuit branch `bits` runs on the full register: each step
+    contributes its chosen main-register gate, plus an X on ancilla j when
+    the coin came up tails."""
     gates = []
     for j, ((primary, alternate), bit) in enumerate(zip(rc.steps, bits)):
         if bit:
@@ -187,7 +188,7 @@ def sample_branch(rc, seed: int) -> tuple[tuple[int, ...], Circuit]:
             gates.append(Gate("X", (rc.main_width + j,)))
         else:
             gates.append(primary)
-    return bits, Circuit(rc.total_width, tuple(gates))
+    return Circuit(rc.total_width, gates)
 
 
 def maximally_mixed(width: int) -> DensityMatrix:

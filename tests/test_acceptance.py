@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from depolab import (
+    RandomizedCircuit,
     __version__,
     additive_certificate,
     bound_chain,
-    build_randomized_circuit,
     depolarize,
     depolarized_acceptance,
     mixture_distribution,
@@ -33,11 +33,12 @@ from depolab.cli import ExperimentConfig, run_experiment
 from depolab.reports import render_json
 from oracles import (
     bloch_grid_best,
+    branch_bits,
     brute_amplitudes,
     brute_distribution,
     depolarize_density,
     maximally_mixed,
-    sample_branch,
+    realized_circuit,
 )
 
 CORPUS_SEED = 20260818
@@ -98,7 +99,7 @@ def test_3_mixture_and_acceptance_links():
     grid = [round(0.1 * i, 1) for i in range(11)]
     for i in range(50):
         circuit = random_circuit(1 + (i % 5), 1 + int(rng.integers(10)), rng)
-        rc = build_randomized_circuit(circuit)
+        rc = RandomizedCircuit(circuit)
         mix = mixture_distribution(rc)
         q = abs(zero_overlap(circuit)) ** 2
         m, n = rc.ancilla_width, rc.total_width
@@ -114,7 +115,7 @@ def test_4_monte_carlo_branches_match_mixture():
     of the 256 mixture entries sit inside three-sigma binomial envelopes."""
     rng = np.random.Generator(np.random.Philox(key=CORPUS_SEED + 2))
     circuit = random_circuit(2, 6, rng)
-    rc = build_randomized_circuit(circuit)
+    rc = RandomizedCircuit(circuit)
     mix = mixture_distribution(rc).probs
     draws = 100_000
 
@@ -122,9 +123,10 @@ def test_4_monte_carlo_branches_match_mixture():
     tally = np.zeros(256, dtype=np.int64)
     y_uniform = np.random.Generator(np.random.Philox(key=CORPUS_SEED + 3)).random(draws)
     for i in range(draws):
-        bits, realized = sample_branch(rc, seed=i)
+        bits = branch_bits(rc, seed=i)
         if bits not in conditional_cdf:
             alpha = sum(b << j for j, b in enumerate(bits))
+            realized = realized_circuit(rc, bits)
             slice_probs = output_distribution(realized).probs[4 * alpha : 4 * alpha + 4]
             conditional_cdf[bits] = (alpha, np.cumsum(slice_probs))
         alpha, cdf = conditional_cdf[bits]

@@ -13,7 +13,6 @@ from depolab import (
     parse_circuit,
     random_circuit,
     serialize_circuit,
-    validate_circuit,
 )
 from oracles import loop_outcome_string
 from strategies import circuits
@@ -111,37 +110,46 @@ class TestParseFuzz:
             assert 1 <= err.line <= max(1, len(text.splitlines()))
             assert str(err).startswith(f"line {err.line}: ")
             return
-        assert validate_circuit(circuit) == []
         assert parse_circuit(serialize_circuit(circuit)) == circuit
 
 
 class TestValidate:
     def test_valid_circuit(self, bell_circuit):
-        assert validate_circuit(bell_circuit) == []
+        assert Circuit(2, list(bell_circuit.gates)) == bell_circuit
+
+    def test_gates_stored_as_hashable_tuple(self):
+        circuit = Circuit(1, [Gate("H", (0,))])
+        assert circuit.gates == (Gate("H", (0,)),)
+        assert hash(circuit) == hash(Circuit(1, (Gate("H", (0,)),)))
 
     def test_out_of_range(self):
-        bad = Circuit(1, (Gate("CNOT", (0, 1)),))
-        problems = validate_circuit(bad)
-        assert len(problems) == 1 and "out of range" in problems[0]
+        with pytest.raises(ValueError, match=r"^invalid circuit: gate 0: qubit 1 out of range"):
+            Circuit(1, (Gate("CNOT", (0, 1)),))
 
     def test_duplicate_targets(self):
-        bad = Circuit(2, (Gate("CNOT", (1, 1)),))
-        assert any("duplicate" in p for p in validate_circuit(bad))
+        with pytest.raises(ValueError, match="invalid circuit: gate 0: duplicate"):
+            Circuit(2, (Gate("CNOT", (1, 1)),))
 
     def test_unknown_kind(self):
-        bad = Circuit(1, (Gate("CZ", (0,)),))
-        assert any("unknown" in p for p in validate_circuit(bad))
+        with pytest.raises(ValueError, match="invalid circuit: gate 0: unknown"):
+            Circuit(1, (Gate("CZ", (0,)),))
 
     def test_bad_arity(self):
-        bad = Circuit(2, (Gate("H", (0, 1)),))
-        assert any("takes 1" in p for p in validate_circuit(bad))
+        with pytest.raises(ValueError, match="invalid circuit: gate 0: H takes 1"):
+            Circuit(2, (Gate("H", (0, 1)),))
 
     def test_zero_width(self):
-        assert any("width" in p for p in validate_circuit(Circuit(0, ())))
+        with pytest.raises(ValueError, match="invalid circuit: width must be >= 1, got 0"):
+            Circuit(0, ())
 
     def test_all_violations_reported(self):
-        bad = Circuit(1, (Gate("CZ", (0,)), Gate("X", (5,)), Gate("CNOT", (0, 0))))
-        assert len(validate_circuit(bad)) == 3
+        with pytest.raises(ValueError) as err:
+            Circuit(1, (Gate("CZ", (0,)), Gate("X", (5,)), Gate("CNOT", (0, 0))))
+        assert str(err.value) == (
+            "invalid circuit: gate 0: unknown gate 'CZ'; "
+            "gate 1: qubit 5 out of range for width 1; "
+            "gate 2: duplicate targets on CNOT"
+        )
 
 
 class TestGateCount:
@@ -160,10 +168,6 @@ class TestSerialize:
     @given(circuits(max_width=6, max_gates=12))
     def test_round_trip(self, circuit):
         assert parse_circuit(serialize_circuit(circuit)) == circuit
-
-    @given(circuits(max_width=6, max_gates=12))
-    def test_generated_circuits_are_valid(self, circuit):
-        assert validate_circuit(circuit) == []
 
 
 class TestRandomCircuit:

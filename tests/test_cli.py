@@ -14,8 +14,8 @@ from hypothesis import given, settings
 import depolab.cli
 import depolab.statevector
 from depolab import (
+    RandomizedCircuit,
     __version__,
-    build_randomized_circuit,
     mixture_distribution,
     random_circuit,
     serialize_circuit,
@@ -132,7 +132,7 @@ class TestMixtureChecksum:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (3, 8), (5, 12)])
     def test_matches_naive_oracle(self, key, shape):
         rng = np.random.Generator(np.random.Philox(key=key))
-        rc = build_randomized_circuit(random_circuit(*shape, rng))
+        rc = RandomizedCircuit(random_circuit(*shape, rng))
         assert _mixture_checksum(rc) == brute_checksum(mixture_distribution(rc).probs)
 
 

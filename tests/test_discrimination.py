@@ -62,6 +62,18 @@ class TestDensityTypes:
         with pytest.raises(ValueError, match="width must be a positive integer"):
             random_density_matrix(width, 0)
 
+    @pytest.mark.parametrize(
+        "rank, match",
+        [
+            (1.5, "rank must be a positive integer, got 1.5"),
+            (0, "rank must be a positive integer, got 0"),
+            (5, r"rank must lie in \[1, 4\], got 5"),
+        ],
+    )
+    def test_rank_validated(self, rank, match):
+        with pytest.raises(ValueError, match=match):
+            random_density_matrix(2, 0, rank=rank)
+
     def test_integral_float_width_accepted(self):
         assert random_density_matrix(2.0, 0).width == 2
 

@@ -201,6 +201,32 @@ class TestTypes:
         with pytest.raises(TypeError):
             cls(1, values, 1e-11)  # tol is keyword-only
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: StateVector(1, [np.nan, 0.0]), "not 1 within"),
+            (lambda: Distribution(1, [np.nan, np.nan]), "not 1 within"),
+            (lambda: StateVector(1, [0.0, 0.0], tol=1.0), "tol must lie in"),
+            (lambda: Distribution(1, [0.0, 0.0], tol=1.0), "tol must lie in"),
+            (lambda: DensityMatrix(1, np.zeros((2, 2)), tol=1.0), "tol must lie in"),
+            (lambda: Distribution(1, [0.5, 0.5], tol=np.nan), "tol must lie in"),
+            (lambda: Distribution(1, [0.5, 0.5], tol=-1e-12), "tol must lie in"),
+        ],
+        ids=[
+            "nan-state",
+            "nan-distribution",
+            "tol1-state",
+            "tol1-distribution",
+            "tol1-density",
+            "nan-tol",
+            "negative-tol",
+        ],
+    )
+    def test_nan_and_vacuous_tol_rejected(self, make, match):
+        # abs(nan - 1) > tol is False, and a tol of 1 admits a zero vector.
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_simulated_tol_carries_to_the_distribution(self, ghz_circuit):
         tol = EXACT_TOL + GATE_ROUNDOFF * ghz_circuit.m
         assert run(ghz_circuit).tol == tol
