@@ -42,6 +42,9 @@ class Gate:
     kind: str
     targets: tuple[int, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "targets", tuple(self.targets))
+
     def __str__(self) -> str:
         return " ".join([self.kind, *map(str, self.targets)])
 
@@ -49,14 +52,16 @@ class Gate:
 @dataclass(frozen=True)
 class Circuit:
     """Width plus ordered gates, legal by construction: gates is stored as
-    a tuple, and width >= 1 and every gate are checked against
-    gate_problems.  Positions in messages are 0-based gate indices."""
+    a tuple, width must be an integer >= 1 and every gate is checked
+    against gate_problems.  Positions in messages are 0-based gate indices."""
 
     width: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        if not _is_index(self.width):  # gates cannot be range-checked against it
+            raise ValueError(f"invalid circuit: width must be an integer, got {self.width!r}")
         problems = [f"width must be >= 1, got {self.width}"] if self.width < 1 else []
         for i, g in enumerate(self.gates):
             problems.extend(f"gate {i}: {p}" for p in gate_problems(g, self.width))
@@ -74,14 +79,21 @@ def gate(kind: str, *targets: int) -> Gate:
     return Gate(kind, tuple(targets))
 
 
+def _is_index(x) -> bool:
+    """A width or qubit index: an int or numpy integer, never a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def gate_problems(g: Gate, width: int) -> list[str]:
     """Every rule g breaks on a width-qubit register, [] when it is legal:
-    a known kind, its arity, targets in range and distinct."""
+    a known kind, its arity, integer targets in range and distinct."""
     arity = GATE_ARITY.get(g.kind)
     if arity is None:
         return [f"unknown gate {g.kind!r}"]
     if len(g.targets) != arity:
         return [f"{g.kind} takes {arity} qubit(s), got {len(g.targets)}"]
+    if not all(map(_is_index, g.targets)):
+        return [f"qubit {q!r} is not an integer" for q in g.targets if not _is_index(q)]
     problems = [
         f"qubit {q} out of range for width {width}" for q in g.targets if not 0 <= q < width
     ]
@@ -136,9 +148,7 @@ def parse_circuit(text: str) -> Circuit:
 
 def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit in the text format.  parse_circuit inverts this."""
-    lines = [f"qubits {circuit.width}"]
-    lines.extend(str(g) for g in circuit.gates)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"qubits {circuit.width}", *map(str, circuit.gates)]) + "\n"
 
 
 def outcome_string(index: int, width: int) -> str:

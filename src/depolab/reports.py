@@ -14,9 +14,9 @@ millions of entries but only a handful of distinct values.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps(str) runs
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, float):
         return _render_float(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -78,7 +78,9 @@ def render_json(value, indent: int = 0) -> str:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            items.append(f"{inner}{json.dumps(key)}: {render_json(item, indent + 1)}")
+            # An exact int is its own text; an unnamed child is freed before the join.
+            items.append(f"{inner}{_quote(key)}: "
+                         f"{item if type(item) is int else render_json(item, indent + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1 and value.size:
         sep = ",\n" + inner

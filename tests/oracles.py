@@ -4,8 +4,9 @@ Everything here is deliberately written the slow, obvious way, sharing no
 code with the package internals: full 2**n x 2**n unitaries assembled by
 explicit Kronecker products, per-branch enumeration, plain-Python loops
 over outcomes, a grid search over single-qubit measurements, dense
-k-copy tensor powers measured with an explicit projector, and a checksum
-that formats every float on its own.
+k-copy tensor powers measured with an explicit projector, a checksum
+that formats every float on its own, and inverse-CDF sampling that looks
+up each draw in the order it was drawn.
 
 The last section holds helpers that only the tests need, built on the
 package's public types: a sampled branch of a randomized circuit and the
@@ -164,6 +165,19 @@ def brute_checksum(probs) -> str:
     """sha256 of every probability's .17g text, joined by commas."""
     payload = ",".join(format(p, ".17g") for p in probs)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def draw_order_sample(dist, seed: int, count: int) -> dict[int, int]:
+    """Tally of `count` inverse-CDF draws from the keyed Philox stream, each
+    looked up in the order it was drawn.  A draw at or above cdf[-1] (the
+    sum can round below 1) goes to the last outcome that has probability."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cdf = np.cumsum(dist.probs)
+    drawn = np.searchsorted(cdf, rng.random(count), side="right")
+    drawn = np.minimum(drawn, np.flatnonzero(dist.probs)[-1])
+    tallies = np.bincount(drawn, minlength=1 << dist.width)
+    outcomes = np.flatnonzero(tallies)
+    return dict(zip(outcomes.tolist(), tallies[outcomes].tolist()))
 
 
 # Test-only helpers on the package's types.

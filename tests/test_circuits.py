@@ -118,9 +118,30 @@ class TestValidate:
         assert Circuit(2, list(bell_circuit.gates)) == bell_circuit
 
     def test_gates_stored_as_hashable_tuple(self):
-        circuit = Circuit(1, [Gate("H", (0,))])
+        circuit = Circuit(1, [Gate("H", [0])])
         assert circuit.gates == (Gate("H", (0,)),)
         assert hash(circuit) == hash(Circuit(1, (Gate("H", (0,)),)))
+
+    @pytest.mark.parametrize(
+        "width, targets, problem",
+        [
+            (2.5, None, "width must be an integer, got 2.5"),
+            (True, None, "width must be an integer, got True"),
+            (1, (0.5,), "gate 0: qubit 0.5 is not an integer"),
+            (2, (True,), "gate 0: qubit True is not an integer"),
+            (2, ([0],), "gate 0: qubit [0] is not an integer"),
+        ],
+        ids=["float-width", "bool-width", "float-target", "bool-target", "list-target"],
+    )
+    def test_non_integer_width_or_target(self, width, targets, problem):
+        gates = () if targets is None else (Gate("H", targets),)
+        with pytest.raises(ValueError) as err:
+            Circuit(width, gates)
+        assert str(err.value) == f"invalid circuit: {problem}"
+
+    def test_numpy_integers_accepted(self):
+        circuit = Circuit(np.int64(2), (Gate("CNOT", (np.int64(0), 1)),))
+        assert serialize_circuit(circuit) == "qubits 2\nCNOT 0 1\n"
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match=r"^invalid circuit: gate 0: qubit 1 out of range"):

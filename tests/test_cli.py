@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -22,8 +24,10 @@ from depolab import (
 )
 from depolab.cli import ExperimentConfig, _mixture_checksum, main, run_experiment
 from depolab.depol import SAMPLE_CAP
+from depolab.reports import render_json
 from oracles import brute_checksum
 
+ROOT = Path(__file__).resolve().parents[1]
 BELL = "qubits 2\nH 0\nCNOT 0 1\n"
 PLUS = "qubits 1\nH 0\n"
 
@@ -80,6 +84,22 @@ class TestDepolarize:
         # pinned Philox draws for seed 7
         assert entry["tally"] == {"00": 5, "10": 4, "01": 3, "11": 8}
         assert entry["empirical_tv"] >= 0.0
+
+    def test_golden_report_digest(self, monkeypatch):
+        # sha256 of the whole report as v0.8.0 rendered it, version masked:
+        # probabilities, tallies and TVs of the same command must keep every byte.
+        monkeypatch.chdir(ROOT)
+        config = ExperimentConfig(
+            subcommand="depolarize",
+            circuit_path="circuits/ghz.qc",
+            fidelity_grid=(0.25, 0.5, 0.9),
+            seed=7,
+            samples=100_000,
+        )
+        report = run_experiment(config)
+        report["version"] = "pinned"
+        digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+        assert digest == "0d070db4f2de2e221995f45ed135ba7378aa1102d94a3095cb5d02cfe6fbece5"
 
 
 class TestCertify:
@@ -251,7 +271,7 @@ class TestErrorPaths:
     def test_sample_cap_exits_four(self, capsys, bell_path):
         argv = ["depolarize", "--circuit", bell_path, "--samples", "10000000000"]
         assert main(argv) == 4
-        assert "160000000000 bytes" in capsys.readouterr().err
+        assert "80000000000 bytes" in capsys.readouterr().err
 
     def test_density_width_cap_exits_four(self, capsys):
         # A 12-qubit density matrix would need 2**28 bytes before any check.

@@ -1,6 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 
 from depolab import (
     CapExceeded,
@@ -15,12 +16,22 @@ from depolab import (
     sample,
 )
 from depolab.depol import SAMPLE_CAP
-from oracles import brute_additive_l1, brute_mult_worst
+from oracles import brute_additive_l1, brute_mult_worst, draw_order_sample
 from strategies import distributions, fidelities, low_fidelities, seeds
 
 point2 = Distribution(2, np.array([1.0, 0.0, 0.0, 0.0]))
 bell_dist = Distribution(2, np.array([0.5, 0.0, 0.0, 0.5]))
 uniform3 = Distribution(3, np.full(8, 0.125))
+
+
+@st.composite
+def tail_zeroed(draw, max_width: int = 4) -> Distribution:
+    """A distribution whose last outcomes have probability exactly 0."""
+    dist = draw(distributions(max_width=max_width))
+    probs = dist.probs.copy()
+    probs[draw(st.integers(1, probs.size - 1)) :] = 0.0
+    assume(probs.sum() > 1e-6)
+    return Distribution(dist.width, probs / probs.sum())
 
 
 class TestPositiveInt:
@@ -105,6 +116,20 @@ class TestSample:
         # the last one with probability, never to outcome 1 (probability 0).
         assert sample(Distribution(1, [0.9, 0.0], tol=0.2), 1, 1000) == {0: 1000}
 
+    @given(st.one_of(distributions(max_width=4), tail_zeroed()), seeds, st.integers(1, 10**4))
+    @example(Distribution(1, [0.9, 0.0], tol=0.2), 1, 1000)
+    @example(Distribution(2, [0.5, 0.25, 0.0, 0.0], tol=0.3), 3, 10**4)
+    @settings(max_examples=200)
+    def test_sorted_lookup_matches_draw_order(self, dist, seed, count):
+        # A tally does not depend on the order the draws are looked up in.
+        assert sample(dist, seed, count) == draw_order_sample(dist, seed, count)
+
+    def test_draw_on_a_cdf_step_goes_to_the_next_outcome(self):
+        # Outcome z covers [cdf[z-1], cdf[z]): a draw equal to cdf[0] is outcome 1.
+        first = float(np.random.Generator(np.random.Philox(key=5)).random())
+        dist = Distribution(1, [first, 1.0 - first])
+        assert sample(dist, 5, 1) == draw_order_sample(dist, 5, 1) == {1: 1}
+
     @given(distributions(max_width=3), seeds)
     @settings(max_examples=25)
     def test_deterministic(self, dist, seed):
@@ -120,7 +145,7 @@ class TestSample:
             sample(point2, 0, 0)
 
     def test_count_capped(self):
-        with pytest.raises(CapExceeded, match=f"{16 * (SAMPLE_CAP + 1)} bytes"):
+        with pytest.raises(CapExceeded, match=f"{8 * (SAMPLE_CAP + 1)} bytes"):
             sample(point2, 0, SAMPLE_CAP + 1)
 
 
