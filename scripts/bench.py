@@ -1,0 +1,247 @@
+#!/usr/bin/env python3
+"""Time each layer of depolab in-process and write the timings as JSON.
+
+    python scripts/bench.py --out BENCH_2.json --compare BENCH_1.json
+    python scripts/bench.py --quick --out bench.json
+
+Every row is the median wall time of 5 calls in this interpreter, after
+one untimed call (3 calls and none untimed for the multi-second rows, one
+call in --quick): the gate kernel by gate kind and width (seconds per
+gate), `run` on random circuits, depolarize and both certificates,
+`sample` over a width x count grid next to the draw-order lookup it must
+not fall behind (tests/oracles.py), `mixture_distribution` by (w, m),
+`bound_chain` on a pure state by (w, k), `random_density_matrix`,
+`parse_circuit`, rendering the 10**6-draw tally report, and (full runs
+only) the tier-1 suite.  The file also records the
+Python and numpy versions, the core count, the src line count and the git
+commit.  --quick runs the same rows at small sizes in a few seconds.
+
+These are in-process layer times.  perfbench/run.py measures something
+else: whole CLI runs, one fresh interpreter each, scaled by a reference
+workload.  Compare each kind only with its own kind.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+
+import depolab  # noqa: E402
+from depolab import (  # noqa: E402
+    Distribution,
+    Gate,
+    RandomizedCircuit,
+    additive_certificate,
+    bound_chain,
+    depolarize,
+    mixture_distribution,
+    multiplicative_certificate,
+    parse_circuit,
+    random_circuit,
+    random_density_matrix,
+    run,
+    sample,
+    serialize_circuit,
+)
+from depolab.cli import ExperimentConfig, run_experiment  # noqa: E402
+from depolab.reports import render_json  # noqa: E402
+from depolab.statevector import _apply_gate_inplace  # noqa: E402
+from oracles import draw_order_sample  # noqa: E402
+
+SCHEMA = "depolab-bench/1"
+KINDS = ("H", "S", "T", "X", "I1", "CNOT")
+FULL = {
+    "run": (16, 20, 22),
+    "kernel": (18, 22),
+    "certificates": 20,
+    "sample_widths": (12, 16, 20, 22),
+    "sample_counts": (10**4, 10**6),
+    "mixture": ((4, 16), (6, 16), (4, 20)),
+    "chain": ((6, 2), (2, 11), (1, 22), (11, 2)),
+    "density": 11,
+    "parse": (10, 200_000),
+    "tally": (16, 10**6),
+}
+QUICK = {
+    "run": (10,),
+    "kernel": (10,),
+    "certificates": 10,
+    "sample_widths": (8, 10),
+    "sample_counts": (100, 10**4),
+    "mixture": ((3, 6),),
+    "chain": ((2, 2),),
+    "density": 4,
+    "parse": (4, 2_000),
+    "tally": (8, 10**4),
+}
+REPEATS, HEAVY_REPEATS = 5, 3
+
+
+def rng(key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def random_distribution(width: int) -> Distribution:
+    probs = rng(width).exponential(size=1 << width)
+    return Distribution(width, probs / probs.sum())
+
+
+def kernel_sweep(width: int, kind: str):
+    """One application of the gate on the lowest, middle and top qubit (a
+    CNOT controlled by the next qubit up), on a dense state."""
+    amps = np.full(1 << width, 2.0 ** (-width / 2), dtype=np.complex128)
+    gates = [
+        Gate(kind, ((t + 1) % width, t) if kind == "CNOT" else (t,))
+        for t in sorted({0, width // 2, width - 1})
+    ]
+
+    def sweep():
+        for g in gates:
+            _apply_gate_inplace(amps, g, width)
+
+    return sweep, len(gates)
+
+
+def cases(sizes: dict, workdir: Path):
+    """Yield (layer, case, callable, calls per timing, heavy).  The layers
+    that run the gate kernel come last: the large arrays it frees leave
+    the allocator in a state that moved later rows by a factor of 2-3
+    (depolarize at w = 20 read 6.6 ms after the kernel rows, 2.4 ms alone)."""
+    dist = random_distribution(sizes["certificates"])
+    case = f"w={dist.width}"
+    yield "depolarize", case, lambda: depolarize(dist, 0.25), 1, False
+    yield "additive_certificate", case, lambda: additive_certificate(dist, 0.25), 1, False
+    yield "multiplicative_certificate", case, lambda: multiplicative_certificate(dist, 0.25), 1, False
+    for w in sizes["sample_widths"]:
+        dist = random_distribution(w)
+        for count in sizes["sample_counts"]:
+            case = f"w={w} count={count}"
+            yield "sample", case, lambda d=dist, n=count: sample(d, 1, n), 1, False
+            yield "sample_draw_order", case, lambda d=dist, n=count: draw_order_sample(d, 1, n), 1, False
+    for w, k in sizes["chain"]:
+        state = run(random_circuit(w, 20, rng(w)))
+        yield "bound_chain", f"pure w={w} k={k}", lambda s=state, k=k: bound_chain(s, 0.25, k), 1, False
+    w = sizes["density"]
+    yield "random_density_matrix", f"w={w}", lambda: random_density_matrix(w, 1), 1, True
+    w, m = sizes["parse"]
+    text = serialize_circuit(random_circuit(w, m, rng(m)))
+    yield "parse_circuit", f"{m} gates w={w}", lambda: parse_circuit(text), 1, True
+    w, count = sizes["tally"]
+    path = workdir / "tally.qc"
+    path.write_text(
+        "\n".join([f"qubits {w}", *(f"H {q}" for q in range(w)),
+                   *(f"CNOT {q} {q + 1}" for q in range(0, w - 1, 2))]) + "\n"
+    )
+    report = run_experiment(ExperimentConfig(
+        subcommand="depolarize", circuit_path=str(path), fidelity_grid=(0.25, 0.5, 0.9),
+        seed=1, samples=count,
+    ))
+    yield "render_json", f"depolarize w={w} samples={count}", lambda: render_json(report), 1, False
+    for w in sizes["kernel"]:
+        for kind in KINDS:
+            sweep, calls = kernel_sweep(w, kind)
+            yield "kernel", f"{kind} w={w}", sweep, calls, False
+    for w in sizes["run"]:
+        circuit = random_circuit(w, 200, rng(w))
+        yield "run", f"200 gates w={w}", lambda c=circuit: run(c), 1, w >= 20
+    for w, m in sizes["mixture"]:
+        rc = RandomizedCircuit(random_circuit(w, m, rng(w + m)))
+        yield "mixture_distribution", f"w={w} m={m}", lambda r=rc: mixture_distribution(r), 1, w + m >= 24
+
+
+def median_seconds(fn, calls: int, repeats: int, warm_up: bool) -> float:
+    if warm_up:  # first-touch pages and caches; too dear for the heavy rows
+        fn()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - start) / calls)
+    return statistics.median(times)
+
+
+def suite_seconds() -> float:
+    """One run of the tier-1 suite in a child interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+        cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+    return time.perf_counter() - start
+
+
+def git(*args: str) -> str | None:
+    try:
+        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def environment(quick: bool, repeats: int) -> dict:
+    src = sorted((ROOT / "src" / "depolab").glob("*.py"))
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "depolab": depolab.__version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cores": os.cpu_count(),
+        "machine": platform.machine(),
+        "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src),
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "quick": quick,
+        "repeats": repeats,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true", help="small sizes, no suite run")
+    parser.add_argument("--out", help="write the JSON here")
+    parser.add_argument("--compare", help="an earlier bench JSON to print ratios against")
+    args = parser.parse_args()
+    repeats = 1 if args.quick else REPEATS
+    previous = {}
+    if args.compare:
+        rows = json.loads(Path(args.compare).read_text(encoding="utf-8"))["rows"]
+        previous = {(r["layer"], r["case"]): r["median_s"] for r in rows}
+
+    rows = []
+
+    def record(layer: str, case: str, seconds: float, runs: int) -> None:
+        rows.append({"layer": layer, "case": case, "median_s": seconds, "runs": runs})
+        line = f"{layer:<27} {case:<26} {seconds * 1e3:>11.3f} ms"
+        before = previous.get((layer, case))
+        if before:
+            line += f"   was {before * 1e3:>11.3f} ms  x{seconds / before:.2f}"
+        print(line, flush=True)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for layer, case, fn, calls, heavy in cases(QUICK if args.quick else FULL, Path(tmp)):
+            runs = min(repeats, HEAVY_REPEATS) if heavy else repeats
+            record(layer, case, median_seconds(fn, calls, runs, not heavy), runs)
+    if not args.quick:
+        record("tier1_suite", "pytest -q", suite_seconds(), 1)
+
+    result = {"schema": SCHEMA, "environment": environment(args.quick, repeats), "rows": rows}
+    if args.out:
+        Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

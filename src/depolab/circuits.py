@@ -19,9 +19,10 @@ strings print qubit 0 leftmost.
 
 Validation has one source: gate_problems holds the gate rules (kind,
 arity, target range, distinct targets).  A Circuit checks itself when it
-is built and raises every violation as one ValueError, so no consumer
-checks it again; parse_circuit reports the first one on a line with that
-line's 1-based number.
+is built and raises every violation as one InvalidCircuit (a ValueError),
+so no consumer checks it again; parse_circuit builds its Circuit once and
+reports the first violation on that gate's line, with the line's 1-based
+number.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CircuitParseError
+from .errors import CircuitParseError, InvalidCircuit
 
 GATE_ARITY = {"H": 1, "X": 1, "S": 1, "T": 1, "I1": 1, "CNOT": 2}
 
@@ -61,12 +62,12 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         if not _is_index(self.width):  # gates cannot be range-checked against it
-            raise ValueError(f"invalid circuit: width must be an integer, got {self.width!r}")
-        problems = [f"width must be >= 1, got {self.width}"] if self.width < 1 else []
+            raise InvalidCircuit([(None, f"width must be an integer, got {self.width!r}")])
+        problems = [(None, f"width must be >= 1, got {self.width}")] if self.width < 1 else []
         for i, g in enumerate(self.gates):
-            problems.extend(f"gate {i}: {p}" for p in gate_problems(g, self.width))
+            problems.extend((i, p) for p in gate_problems(g, self.width))
         if problems:
-            raise ValueError("invalid circuit: " + "; ".join(problems))
+            raise InvalidCircuit(problems)
 
     @property
     def m(self) -> int:
@@ -111,6 +112,7 @@ def parse_circuit(text: str) -> Circuit:
     """
     width = None
     gates = []
+    lines = []  # the line number of each gate
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,15 +137,21 @@ def parse_circuit(text: str) -> Circuit:
             try:
                 targets.append(int(tok))
             except ValueError:
+                _build_parsed(width, gates, lines)  # a problem on an earlier line comes first
                 raise CircuitParseError(lineno, f"invalid qubit index {tok!r}") from None
-        g = Gate(tokens[0], tuple(targets))
-        problems = gate_problems(g, width)
-        if problems:
-            raise CircuitParseError(lineno, problems[0])
-        gates.append(g)
+        gates.append(Gate(tokens[0], tuple(targets)))
+        lines.append(lineno)
     if width is None:
         raise CircuitParseError(1, "missing 'qubits <n>' header")
-    return Circuit(width, gates)
+    return _build_parsed(width, gates, lines)
+
+
+def _build_parsed(width: int, gates: list[Gate], lines: list[int]) -> Circuit:
+    """Circuit(width, gates), its first problem raised on that gate's line."""
+    try:
+        return Circuit(width, gates)
+    except InvalidCircuit as err:
+        raise CircuitParseError(lines[err.gate_index], err.problem) from None
 
 
 def serialize_circuit(circuit: Circuit) -> str:

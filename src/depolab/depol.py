@@ -97,6 +97,8 @@ def sample(dist: Distribution, seed: int, count: int) -> dict[int, int]:
 
     Only outcomes that occurred appear as keys.  Deterministic in (seed,
     dist, count).  Draws are looked up in sorted order: a tally ignores order.
+    Fewer draws than outcomes are searched into the CDF, and otherwise the
+    CDF into the draws: one binary search per entry of the shorter array.
     """
     check_seed(seed)
     count = check_positive_int("count", count)
@@ -107,11 +109,18 @@ def sample(dist: Distribution, seed: int, count: int) -> dict[int, int]:
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random(count)
     u.sort()
-    # below[z] counts the draws on outcomes 0..z.  cdf[-1] can round to just
-    # below 1; fold the sliver into the last outcome that has probability.
-    below = np.searchsorted(u, np.cumsum(dist.probs))
-    below[np.flatnonzero(dist.probs)[-1] :] = count
-    tallies = np.diff(below, prepend=0)
+    cdf = np.cumsum(dist.probs)
+    # cdf[-1] can round to just below 1; fold the sliver into the last
+    # outcome that has probability.
+    last = np.flatnonzero(dist.probs)[-1]
+    if count < len(cdf):
+        drawn = np.searchsorted(cdf, u, side="right")
+        tallies = np.bincount(np.minimum(drawn, last, out=drawn))
+    else:
+        # below[z] counts the draws on outcomes 0..z.
+        below = np.searchsorted(u, cdf)
+        below[last:] = count
+        tallies = np.diff(below, prepend=0)
     outcomes = np.flatnonzero(tallies)
     return dict(zip(outcomes.tolist(), tallies[outcomes].tolist()))
 

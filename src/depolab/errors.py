@@ -13,6 +13,22 @@ class CircuitParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+class InvalidCircuit(ValueError):
+    """Raised when a Circuit breaks a construction rule.
+
+    The message lists every problem; gate_index and problem hold the first
+    one as data (gate_index None when it concerns the width), so a parser
+    can point at that gate's line without reading the message.
+    """
+
+    def __init__(self, problems: list[tuple[int | None, str]]):
+        self.gate_index, self.problem = problems[0]
+        super().__init__(
+            "invalid circuit: "
+            + "; ".join(p if i is None else f"gate {i}: {p}" for i, p in problems)
+        )
+
+
 class CapExceeded(RuntimeError):
     """Raised when a request would blow past a hard resource cap.
 

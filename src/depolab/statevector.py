@@ -3,10 +3,11 @@
 Amplitudes live in a flat complex128 array of length 2**width; qubit q is
 bit q of the array index (qubit 0 = least significant).  The kernel views
 that array, without copying, with one length-2 axis per qubit (qubit q is
-axis -1-q) and updates the halves along the target axis in place: a 2x2
-matrix mixes them, or CNOT swaps them where the control is 1.  Any
-C-contiguous array whose last axis is the amplitude index works, so a
-batch of states advances in one call.
+axis -1-q) and works on the two halves along the target axis in place,
+doing only what the gate needs: I1 nothing, X and CNOT (where the control
+is 1) a swap of the halves, S and T one product on the 1-half, and H the
+full 2x2 update.  Any C-contiguous array whose last axis is the amplitude
+index works, so a batch of states advances in one call.
 
 No approximation anywhere: simulation is exact up to float round-off, and
 widths are capped at WIDTH_CAP qubits rather than degraded.  StateVector
@@ -30,19 +31,21 @@ WIDTH_CAP = 24
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 # Round-off bound per kernel step on the drift of sum |amplitude|^2, and so
-# of the norm.  Each amplitude becomes U[0,0]*a + U[0,1]*b: two complex
-# products, each within sqrt(5)*u (u = eps/2), and a complex sum within u.
-# A pair moves by at most (sqrt(10) + 1)*u of its norm, as |U| has norm
-# <= sqrt(2), plus sqrt(2)*u from the rounded entries of H and T: 5.58*u
-# on the norm, 11.2*u on its square, under 12*u = 6*eps.
+# of the norm.  I1, X, CNOT and S are exact: a swap, or a product by i that
+# only moves and negates parts.  T multiplies the 1-half by a rounded
+# e^(i pi/4): one complex product within sqrt(5)*u (u = eps/2), plus u from
+# the rounded entry, 3.3*u on the norm.  H makes each amplitude
+# U[0,0]*a + U[0,1]*b: two complex products, each within sqrt(5)*u, and a
+# complex sum within u.  A pair moves by at most (sqrt(10) + 1)*u of its
+# norm, as |U| has norm <= sqrt(2), plus sqrt(2)*u from the rounded
+# entries: 5.58*u on the norm, 11.2*u on its square.  So 12*u = 6*eps
+# bounds every kind.
 GATE_ROUNDOFF = 6.0 * np.finfo(np.float64).eps
 
 GATE_MATRICES = {
     "H": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
-    "I1": np.eye(2, dtype=complex),
 }
 
 
@@ -120,22 +123,27 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
     if not amps.flags.c_contiguous:
         # reshape would hand back a copy and the writes below would be lost.
         raise ValueError("the gate kernel needs a C-contiguous amplitude array")
+    if gate.kind == "I1":
+        return
     bits = amps.reshape(amps.shape[:-1] + (2,) * width)
-    if gate.kind == "CNOT":
-        control, target = gate.targets
-        a = _pinned(bits, width, (control, 1), (target, 0))
-        b = _pinned(bits, width, (control, 1), (target, 1))
+    *controls, target = gate.targets  # CNOT acts where its control is 1
+    pins = [(control, 1) for control in controls]
+    a = _pinned(bits, width, *pins, (target, 0))
+    b = _pinned(bits, width, *pins, (target, 1))
+    if gate.kind in ("X", "CNOT"):
         a_old = a.copy()
         a[...] = b
         b[...] = a_old
         return
     u = GATE_MATRICES[gate.kind]
-    (qubit,) = gate.targets
-    a = _pinned(bits, width, (qubit, 0))
-    b = _pinned(bits, width, (qubit, 1))
-    a_new = u[0, 0] * a + u[0, 1] * b
-    b[...] = u[1, 0] * a + u[1, 1] * b
-    a[...] = a_new
+    if gate.kind == "H":
+        a_new = u[0, 0] * a + u[0, 1] * b
+        b[...] = u[1, 0] * a + u[1, 1] * b
+        a[...] = a_new
+    else:  # S or T: diagonal, so the 0-half keeps its amplitudes.
+        # Scalar first: b *= u[1, 1] on a strided view takes numpy's FMA
+        # loop and rounds T's product differently.
+        b[...] = u[1, 1] * b
 
 
 def run(circuit: Circuit) -> StateVector:

@@ -4,9 +4,10 @@ Everything here is deliberately written the slow, obvious way, sharing no
 code with the package internals: full 2**n x 2**n unitaries assembled by
 explicit Kronecker products, per-branch enumeration, plain-Python loops
 over outcomes, a grid search over single-qubit measurements, dense
-k-copy tensor powers measured with an explicit projector, a checksum
-that formats every float on its own, and inverse-CDF sampling that looks
-up each draw in the order it was drawn.
+k-copy tensor powers measured with an explicit projector, the generic
+2x2 gate kernel the package's kind-specialised one must match bit for
+bit, a checksum that formats every float on its own, and inverse-CDF
+sampling that looks up each draw in the order it was drawn.
 
 The last section holds helpers that only the tests need, built on the
 package's public types: a sampled branch of a randomized circuit and the
@@ -154,6 +155,53 @@ def brute_helstrom(rho0, rho1, k: int) -> tuple[float, float]:
     hit1 = float(np.trace(projector @ big1).real)
     hit0 = 1.0 - float(np.trace(projector @ big0).real)
     return p_correct, 0.5 * (hit1 + hit0)
+
+
+# The package's gate kernel before it specialised by kind: every one-qubit
+# gate, I1 included, as the full 2x2 update over the two halves, with the
+# kernel's own matrix entries (1/sqrt(2), not 2**-0.5, for H).
+_KERNEL_SQRT_HALF = 1.0 / np.sqrt(2.0)
+KERNEL_MATRICES = {
+    "H": np.array(
+        [[_KERNEL_SQRT_HALF, _KERNEL_SQRT_HALF], [_KERNEL_SQRT_HALF, -_KERNEL_SQRT_HALF]],
+        dtype=complex,
+    ),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
+    "I1": np.eye(2, dtype=complex),
+}
+
+
+def _kernel_pinned(bits: np.ndarray, width: int, *pins: tuple[int, int]) -> np.ndarray:
+    index = [slice(None)] * width
+    for qubit, value in pins:
+        index[-1 - qubit] = value
+    return bits[(..., *index)]
+
+
+def matrix_kernel(amps: np.ndarray, gate, width: int) -> None:
+    """Apply one gate to amps (last axis = amplitude index), in place, by
+    the generic 2x2 update (CNOT: swap the halves where the control is 1)."""
+    if not amps.flags.c_contiguous:
+        # reshape would hand back a copy and the writes below would be lost.
+        raise ValueError("the gate kernel needs a C-contiguous amplitude array")
+    bits = amps.reshape(amps.shape[:-1] + (2,) * width)
+    if gate.kind == "CNOT":
+        control, target = gate.targets
+        a = _kernel_pinned(bits, width, (control, 1), (target, 0))
+        b = _kernel_pinned(bits, width, (control, 1), (target, 1))
+        a_old = a.copy()
+        a[...] = b
+        b[...] = a_old
+        return
+    u = KERNEL_MATRICES[gate.kind]
+    (qubit,) = gate.targets
+    a = _kernel_pinned(bits, width, (qubit, 0))
+    b = _kernel_pinned(bits, width, (qubit, 1))
+    a_new = u[0, 0] * a + u[0, 1] * b
+    b[...] = u[1, 0] * a + u[1, 1] * b
+    a[...] = a_new
 
 
 def loop_outcome_string(index: int, width: int) -> str:

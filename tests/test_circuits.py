@@ -14,6 +14,7 @@ from depolab import (
     random_circuit,
     serialize_circuit,
 )
+from depolab.errors import InvalidCircuit
 from oracles import loop_outcome_string
 from strategies import circuits
 
@@ -74,6 +75,15 @@ class TestParse:
     def test_bad_index_token(self):
         with pytest.raises(CircuitParseError, match="invalid qubit index"):
             parse_circuit("qubits 1\nH zero\n")
+
+    def test_first_problem_on_its_gates_line(self):
+        # Comments and blank lines part line numbers from gate indices, and
+        # the earliest bad line wins even over a later bad token.
+        text = "# c\nqubits 2\n\nH 0\n# note\nX 5\nCZ 0 1\nH zero\n"
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit(text)
+        assert str(err.value) == "line 6: qubit 5 out of range for width 2"
+        assert err.value.line == 6
 
     def test_second_header_is_unknown_gate(self):
         with pytest.raises(CircuitParseError, match="unknown gate 'qubits'"):
@@ -162,6 +172,12 @@ class TestValidate:
     def test_zero_width(self):
         with pytest.raises(ValueError, match="invalid circuit: width must be >= 1, got 0"):
             Circuit(0, ())
+
+    def test_first_problem_carried_as_data(self):
+        with pytest.raises(InvalidCircuit) as err:
+            Circuit(2, (Gate("H", (0,)), Gate("X", (5,)), Gate("CZ", (0,))))
+        assert err.value.gate_index == 1
+        assert err.value.problem == "qubit 5 out of range for width 2"
 
     def test_all_violations_reported(self):
         with pytest.raises(ValueError) as err:

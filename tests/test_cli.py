@@ -68,6 +68,21 @@ class TestSimulate:
         _, report = run_cli(capsys, ["simulate", "--circuit", bell_path, "--seed", "99"])
         assert report["config"]["seed"] == 99
 
+    def test_pinned_report_with_a_negative_zero(self, tmp_path):
+        # v0.9.0 skips I1 and applies X, S and T to one half only, so an
+        # exact zero can change sign: this circuit's Re<0|C|0> printed 0 at
+        # v0.8.0 and prints -0 now.  Every other byte of the report held.
+        rng = np.random.Generator(np.random.Philox(key=10446))
+        width, gate_count = int(rng.integers(1, 9)), int(rng.integers(0, 80))
+        path = tmp_path / "pinned.qc"
+        path.write_text(serialize_circuit(random_circuit(width, gate_count, rng)))
+        report = run_experiment(ExperimentConfig(subcommand="simulate", circuit_path=str(path)))
+        report["version"] = report["config"]["circuit_path"] = "pinned"
+        text = render_json(report)
+        assert '"re": -0,\n      "im": -0.24999999999999983' in text
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "aa97fda154014ed0924dfffc4e50e530ff9d10525fc591557592be9bccb05989"
+
 
 class TestDepolarize:
     def test_tally_and_tv(self, capsys, bell_path):

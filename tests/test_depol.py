@@ -116,12 +116,21 @@ class TestSample:
         # the last one with probability, never to outcome 1 (probability 0).
         assert sample(Distribution(1, [0.9, 0.0], tol=0.2), 1, 1000) == {0: 1000}
 
-    @given(st.one_of(distributions(max_width=4), tail_zeroed()), seeds, st.integers(1, 10**4))
+    @given(
+        st.one_of(distributions(max_width=4), tail_zeroed()),
+        seeds,
+        st.one_of(st.integers(1, 15), st.integers(1, 10**4)),
+    )
     @example(Distribution(1, [0.9, 0.0], tol=0.2), 1, 1000)
     @example(Distribution(2, [0.5, 0.25, 0.0, 0.0], tol=0.3), 3, 10**4)
+    # Fewer draws than outcomes, so the draws are searched into the CDF; seed
+    # 8 puts two of the three draws in the sliver above cdf[-1] = 0.75.
+    @example(Distribution(2, [0.5, 0.25, 0.0, 0.0], tol=0.3), 8, 3)
+    @example(Distribution(4, np.full(16, 1 / 16)), 2, 15)
     @settings(max_examples=200)
     def test_sorted_lookup_matches_draw_order(self, dist, seed, count):
-        # A tally does not depend on the order the draws are looked up in.
+        # A tally does not depend on the order the draws are looked up in,
+        # whichever side of the search runs over the other.
         assert sample(dist, seed, count) == draw_order_sample(dist, seed, count)
 
     def test_draw_on_a_cdf_step_goes_to_the_next_outcome(self):

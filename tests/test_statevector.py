@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from depolab import (
@@ -17,8 +18,14 @@ from depolab import (
 )
 from depolab.statevector import GATE_ROUNDOFF, _apply_gate_inplace
 from depolab.tolerances import EXACT_TOL
-from oracles import brute_amplitudes, brute_distribution, dense_unitary, pure_density
-from strategies import circuits
+from oracles import (
+    brute_amplitudes,
+    brute_distribution,
+    dense_unitary,
+    matrix_kernel,
+    pure_density,
+)
+from strategies import circuits, seeds
 
 S2 = 2.0**-0.5
 
@@ -56,6 +63,12 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="C-contiguous"):
             _apply_gate_inplace(amps, Gate("H", (0,)), 1)
 
+    def test_identity_still_refuses_non_contiguous(self):
+        # I1 does no work, but a strided array is refused before that.
+        amps = np.zeros((2, 4), dtype=np.complex128)[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _apply_gate_inplace(amps, Gate("I1", (0,)), 1)
+
     @given(circuits(max_width=5, max_gates=12))
     @settings(max_examples=30)
     def test_batch_rows_advance_independently(self, circuit):
@@ -65,6 +78,47 @@ class TestApplyGate:
         for g in circuit.gates:
             _apply_gate_inplace(batch, g, circuit.width)
         assert np.allclose(batch.T, dense_unitary(circuit), atol=1e-10)
+
+
+def assert_same_bits(fast: np.ndarray, slow: np.ndarray) -> None:
+    # Equal amplitudes (an exact zero may carry either sign) and
+    # byte-identical probabilities.
+    assert np.array_equal(fast, slow)
+    assert (np.abs(fast) ** 2).tobytes() == (np.abs(slow) ** 2).tobytes()
+
+
+class TestKernelMatchesMatrixKernel:
+    """The kind-specialised kernel against the generic 2x2 update it
+    replaced: I1 skipped, X a swap, S and T a product on one half."""
+
+    @given(circuits(max_width=8, max_gates=60), st.booleans(), seeds)
+    @settings(max_examples=150)
+    def test_single_vector(self, circuit, from_zero, seed):
+        # From |0...0> (exact zeros, the simulate path) or a dense random
+        # state (every amplitude nonzero, so every product is exercised).
+        d = 1 << circuit.width
+        if from_zero:
+            start = np.zeros(d, dtype=np.complex128)
+            start[0] = 1.0
+        else:
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            start = rng.normal(size=d) + 1j * rng.normal(size=d)
+        fast, slow = start.copy(), start.copy()
+        for g in circuit.gates:
+            _apply_gate_inplace(fast, g, circuit.width)
+            matrix_kernel(slow, g, circuit.width)
+        assert_same_bits(fast, slow)
+
+    @given(circuits(max_width=5, max_gates=30))
+    @settings(max_examples=60)
+    def test_batch(self, circuit):
+        # Rows of the identity, as mixture_distribution advances its branches.
+        fast = np.eye(1 << circuit.width, dtype=np.complex128)
+        slow = fast.copy()
+        for g in circuit.gates:
+            _apply_gate_inplace(fast, g, circuit.width)
+            matrix_kernel(slow, g, circuit.width)
+        assert_same_bits(fast, slow)
 
 
 class TestRun:
