@@ -137,9 +137,17 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
         return
     u = GATE_MATRICES[gate.kind]
     if gate.kind == "H":
-        a_new = u[0, 0] * a + u[0, 1] * b
-        b[...] = u[1, 0] * a + u[1, 1] * b
-        a[...] = a_new
+        # The same four products and two sums as U[0,0]*a + U[0,1]*b and
+        # U[1,0]*a + U[1,1]*b, through two half-sized buffers: no kind
+        # holds more scratch than H's two halves, whatever the circuit.
+        p, q = np.empty_like(a), np.empty_like(b)  # arrays even when 0-d
+        np.multiply(u[0, 0], a, out=p)
+        np.multiply(u[0, 1], b, out=q)
+        p += q
+        np.multiply(u[1, 0], a, out=q)
+        a[...] = p
+        np.multiply(u[1, 1], b, out=p)
+        np.add(q, p, out=b)
     else:  # S or T: diagonal, so the 0-half keeps its amplitudes.
         # Scalar first: b *= u[1, 1] on a strided view takes numpy's FMA
         # loop and rounds T's product differently.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -68,6 +70,23 @@ class TestApplyGate:
         amps = np.zeros((2, 4), dtype=np.complex128)[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
             _apply_gate_inplace(amps, Gate("I1", (0,)), 1)
+
+    @pytest.mark.parametrize(
+        "gate", [Gate("H", (3,)), Gate("X", (3,)), Gate("CNOT", (0, 3)), Gate("T", (3,))]
+    )
+    def test_scratch_is_at_most_two_halves(self, gate):
+        # Peak memory of mixture_distribution is its batch plus the larger
+        # of the kernel's scratch and one float64 copy: no kind may need
+        # more than two halves, or the peak would hang on the last gate.
+        # numpy's strided loops add buffers of a fixed size on top.
+        amps = np.zeros((64, 1 << 12), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            _apply_gate_inplace(amps, gate, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= amps.nbytes * 9 // 8
 
     @given(circuits(max_width=5, max_gates=12))
     @settings(max_examples=30)
