@@ -11,7 +11,8 @@ gate), `run` on random circuits, depolarize and both certificates,
 `sample` over a width x count grid next to the draw-order lookup it must
 not fall behind (tests/oracles.py), `mixture_distribution` by (w, m),
 `bound_chain` on a pure state by (w, k), `random_density_matrix`,
-`parse_circuit`, rendering the 10**6-draw tally report, and (full runs
+`parse_circuit`, rendering the 10**6-draw tally report, thm1's mixture
+checksum (the hash alone, on a mixture built beforehand), and (full runs
 only) the tier-1 suite.  The file also records the
 Python and numpy versions, the core count, the src line count and the git
 commit.  --quick runs the same rows at small sizes in a few seconds.
@@ -56,7 +57,7 @@ from depolab import (  # noqa: E402
     sample,
     serialize_circuit,
 )
-from depolab.cli import ExperimentConfig, run_experiment  # noqa: E402
+from depolab.cli import ExperimentConfig, _mixture_checksum, run_experiment  # noqa: E402
 from depolab.reports import render_json  # noqa: E402
 from depolab.statevector import _apply_gate_inplace  # noqa: E402
 from oracles import draw_order_sample  # noqa: E402
@@ -74,6 +75,7 @@ FULL = {
     "density": 11,
     "parse": (10, 200_000),
     "tally": (16, 10**6),
+    "checksum": (6, 16),
 }
 QUICK = {
     "run": (10,),
@@ -86,6 +88,7 @@ QUICK = {
     "density": 4,
     "parse": (4, 2_000),
     "tally": (8, 10**4),
+    "checksum": (3, 6),
 }
 REPEATS, HEAVY_REPEATS = 5, 3
 
@@ -160,6 +163,9 @@ def cases(sizes: dict, workdir: Path):
     for w, m in sizes["mixture"]:
         rc = RandomizedCircuit(random_circuit(w, m, rng(w + m)))
         yield "mixture_distribution", f"w={w} m={m}", lambda r=rc: mixture_distribution(r), 1, w + m >= 24
+    w, m = sizes["checksum"]
+    mix = mixture_distribution(RandomizedCircuit(random_circuit(w, m, rng(w + m))))
+    yield "mixture_checksum", f"w={w} m={m}", lambda: _mixture_checksum(mix), 1, False
 
 
 def median_seconds(fn, calls: int, repeats: int, warm_up: bool) -> float:

@@ -46,7 +46,7 @@ from .depol import (
 )
 from .discrimination import bound_chain, random_density_matrix
 from .errors import CapExceeded, CircuitParseError
-from .reports import render_floats, render_json
+from .reports import render_json
 from .statevector import distribution_of, output_distribution, run, zero_overlap
 
 
@@ -138,18 +138,10 @@ def _run_certify(config: ExperimentConfig) -> tuple[dict, bool]:
     return results, all_passed
 
 
-def _mixture_checksum(rc) -> str | None:
-    try:
-        mix = mixture_distribution(rc)
-    except CapExceeded:
-        return None
-    # sha256 of the mixture's .17g texts joined by commas, fed chunk by chunk.
-    digest = hashlib.sha256()
-    sep = ""
-    for texts in render_floats(mix.probs):
-        digest.update((sep + ",".join(texts)).encode("ascii"))
-        sep = ","
-    return digest.hexdigest()
+def _mixture_checksum(mix) -> str:
+    """sha256 of the mixture's little-endian float64 bytes: exact on every
+    platform, and -0 hashes apart from 0 (Distribution refuses NaN)."""
+    return hashlib.sha256(mix.probs.astype("<f8", copy=False)).hexdigest()
 
 
 def _run_thm1(config: ExperimentConfig) -> tuple[dict, bool]:
@@ -160,13 +152,17 @@ def _run_thm1(config: ExperimentConfig) -> tuple[dict, bool]:
         {"fidelity": f, "p_acc_prime": depolarized_acceptance(rc, q, f)}
         for f in config.fidelity_grid
     ]
+    try:
+        checksum = _mixture_checksum(mixture_distribution(rc))
+    except CapExceeded:
+        checksum = None
     results = {
         "w": rc.main_width,
         "m": rc.ancilla_width,
         "n": rc.total_width,
         "q": q,
         "per_fidelity": spikes,
-        "mixture_checksum": _mixture_checksum(rc),
+        "mixture_checksum": checksum,
     }
     return results, True
 

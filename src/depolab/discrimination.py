@@ -28,6 +28,7 @@ also the 2**(2*n) entries of a seeded random density (n <= 11).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -137,7 +138,7 @@ def bound_chain(rho: DensityMatrix | StateVector, fidelity: float, k: int) -> Ch
     spectrum are read, so a circuit's state needs no density matrix.
 
     Links, in order (equalities checked within ORACLE_TOL, inequalities
-    allowed the same slack):
+    allowed the same slack, link 1 also the input's drift):
 
     1. helstrom_value: success of the optimal projective measurement,
        1/2 + (1/2) * (positive part of the spectrum), equals
@@ -166,8 +167,13 @@ def bound_chain(rho: DensityMatrix | StateVector, fidelity: float, k: int) -> Ch
     k_norm = float(np.abs(delta, out=delta).sum())
     p_correct = 0.5 + 0.25 * k_norm
 
+    # Link 1's sides differ by (1/4) * ((sum mu)**k - 1), and sum mu - 1 is
+    # F * (sum spec - 1): allow the drift from 1 the input was accepted with.
+    drift = abs(float(spectrum.sum()) - 1.0)
+    helstrom_slack = ORACLE_TOL + 0.25 * math.expm1(k * math.log1p(f * drift))
+
     links = (
-        ChainLink("helstrom_value", measured, p_correct, abs(measured - p_correct) <= ORACLE_TOL),
+        ChainLink("helstrom_value", measured, p_correct, abs(measured - p_correct) <= helstrom_slack),
         ChainLink("tensor_subadditivity", k_norm, k * single_norm, k_norm <= k * single_norm + ORACLE_TOL),
         ChainLink("noise_scaling", single_norm, f * base_norm, abs(single_norm - f * base_norm) <= ORACLE_TOL),
         ChainLink("distance_cap", base_norm, 2.0, base_norm <= 2.0 + ORACLE_TOL),

@@ -7,9 +7,9 @@ every float with 17 significant digits (enough to round-trip a double
 exactly), keeps dict insertion order, and indents with two spaces.   The
 output is plain JSON, loadable with json.loads.
 
-A 1-D float64 array is rendered through render_floats, which formats each
-distinct value once: probability vectors of Clifford+T circuits hold
-millions of entries but only a handful of distinct values.
+A 1-D float64 array formats each distinct value once and is rendered in
+chunks: probability vectors of Clifford+T circuits hold millions of
+entries but only a handful of distinct values.
 """
 
 from __future__ import annotations
@@ -27,20 +27,17 @@ def _render_float(x: float) -> str:
     return format(x, ".17g")
 
 
-# Entries per chunk of render_floats: large enough that the per-chunk numpy
+# Entries per chunk of a float array: large enough that the per-chunk numpy
 # calls cost nothing, small enough that the chunk's index and text arrays
 # stay far below the size of the values themselves.
 FLOAT_CHUNK = 1 << 16
 
 
-def render_floats(values: np.ndarray, chunk: int = FLOAT_CHUNK) -> Iterator[list[str]]:
-    """_render_float of every entry of a 1-D float64 array, in order, as
-    one list of texts per run of `chunk` entries.
-
-    Each distinct value is formatted once and looked up by binary search,
-    so no full-length index, object array or list of strings is held.
-    NaN and infinities raise before anything is yielded.
-    """
+def _render_floats(values: np.ndarray) -> Iterator[list[str]]:
+    """_render_float of each entry of a 1-D float64 array, one list per
+    FLOAT_CHUNK entries.  Each distinct value is formatted once and found by
+    binary search, so no full-length index, object array or list of strings
+    is held.  NaN and infinities raise before anything is yielded."""
     distinct = np.unique(values)
     if not np.isfinite(distinct).all():
         _render_float(float(values[~np.isfinite(values)][0]))
@@ -48,8 +45,8 @@ def render_floats(values: np.ndarray, chunk: int = FLOAT_CHUNK) -> Iterator[list
     # merged value and put the sign back per chunk below.
     distinct[distinct == 0] = 0.0
     texts = np.array([_render_float(x) for x in distinct.tolist()], dtype=object)
-    for start in range(0, len(values), chunk):
-        part = values[start : start + chunk]
+    for start in range(0, len(values), FLOAT_CHUNK):
+        part = values[start : start + FLOAT_CHUNK]
         out = texts[np.searchsorted(distinct, part)]
         out[np.signbit(part) & (part == 0)] = "-0"
         yield out.tolist()
@@ -84,7 +81,7 @@ def render_json(value, indent: int = 0) -> str:
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1 and value.size:
         sep = ",\n" + inner
-        body = sep.join(sep.join(texts) for texts in render_floats(value))
+        body = sep.join(sep.join(texts) for texts in _render_floats(value))
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(value, (list, tuple, np.ndarray)):
         seq = list(value)

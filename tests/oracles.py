@@ -6,7 +6,7 @@ explicit Kronecker products, per-branch enumeration, plain-Python loops
 over outcomes, a grid search over single-qubit measurements, dense
 k-copy tensor powers measured with an explicit projector, the generic
 2x2 gate kernel the package's kind-specialised one must match bit for
-bit, a checksum that formats every float on its own, and inverse-CDF
+bit, a checksum that packs every float on its own, and inverse-CDF
 sampling that looks up each draw in the order it was drawn.
 
 The last section holds helpers that only the tests need, built on the
@@ -18,6 +18,7 @@ state, and density-level depolarization.
 from __future__ import annotations
 
 import hashlib
+import struct
 from functools import reduce
 
 import numpy as np
@@ -210,9 +211,8 @@ def loop_outcome_string(index: int, width: int) -> str:
 
 
 def brute_checksum(probs) -> str:
-    """sha256 of every probability's .17g text, joined by commas."""
-    payload = ",".join(format(p, ".17g") for p in probs)
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    """sha256 of every probability packed by struct as a little-endian double."""
+    return hashlib.sha256(struct.pack(f"<{len(probs)}d", *probs)).hexdigest()
 
 
 def draw_order_sample(dist, seed: int, count: int) -> dict[int, int]:

@@ -36,6 +36,7 @@ def test_quick_run_schema(tmp_path):
     assert {case for layer, case in cases if layer == "sample_draw_order"} == set(grid)
     assert {"w=8 count=100", "w=8 count=10000"} <= set(grid)
     layers = {layer for layer, _ in cases}
-    assert {"run", "mixture_distribution", "bound_chain", "parse_circuit", "render_json"} <= layers
+    assert {"run", "mixture_distribution", "mixture_checksum", "bound_chain", "parse_circuit",
+            "render_json"} <= layers
     # The kernel table is printed for logs.
     assert "kernel" in proc.stdout and "CNOT w=10" in proc.stdout

@@ -151,6 +151,31 @@ class TestThm1:
         assert isinstance(results["mixture_checksum"], str)
         assert len(results["mixture_checksum"]) == 64
 
+    def test_pinned_report(self, tmp_path):
+        # v0.10.0 hashes the mixture's float64 bytes, not their .17g text;
+        # every other byte of this report is as v0.9.0 rendered it.
+        rng = np.random.Generator(np.random.Philox(key=12))
+        path = tmp_path / "pinned.qc"
+        path.write_text(serialize_circuit(random_circuit(4, 12, rng)))
+        config = ExperimentConfig(
+            subcommand="thm1", circuit_path=str(path), fidelity_grid=(0.25, 0.5, 0.9)
+        )
+        report = run_experiment(config)
+        report["version"] = report["config"]["circuit_path"] = "pinned"
+        text = render_json(report)
+        assert '"mixture_checksum": "3e2fc23b76e1f30e940edea1c5f8ac831fac60db356873e169a4d034681cb512"' in text
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "8076ac1a5f782254648efef4489e0bbb9e4b9b0d89a887ef0d7671c1d599c49a"
+
+    def test_checksum_null_past_the_branch_cap(self, capsys, tmp_path):
+        # 21 steps is 2**21 branches, past BRANCH_CAP: the spikes still come out.
+        path = tmp_path / "long.qc"
+        path.write_text("qubits 1\n" + "H 0\n" * 21)
+        code, report = run_cli(capsys, ["thm1", "--circuit", str(path)])
+        assert code == 0
+        assert report["results"]["m"] == 21
+        assert report["results"]["mixture_checksum"] is None
+
     def test_v_simulated_once(self, capsys, monkeypatch, bell_path):
         # q = |<0|V|0>|**2 serves every fidelity of the grid.
         calls = []
@@ -162,13 +187,13 @@ class TestThm1:
 
 
 class TestMixtureChecksum:
-    # (w, gates): the last has 2**17 probabilities, two formatter chunks.
+    # (w, gates): the last has 2**17 probabilities.
     @pytest.mark.parametrize("key", range(4))
     @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (3, 8), (5, 12)])
     def test_matches_naive_oracle(self, key, shape):
         rng = np.random.Generator(np.random.Philox(key=key))
-        rc = RandomizedCircuit(random_circuit(*shape, rng))
-        assert _mixture_checksum(rc) == brute_checksum(mixture_distribution(rc).probs)
+        mix = mixture_distribution(RandomizedCircuit(random_circuit(*shape, rng)))
+        assert _mixture_checksum(mix) == brute_checksum(mix.probs)
 
 
 class TestSbpGap:

@@ -223,6 +223,13 @@ class TestSbpThresholds:
             assert report.yes_lower == math.ldexp(base.yes_lower, 4 - m)
             assert report.no_upper == math.ldexp(base.no_upper, 4 - m)
 
+    @pytest.mark.parametrize("w", [10, 20])
+    def test_paper_regime_gap_dies_past_m_equals_w_minus_2(self, w):
+        # F = 2**-m: the noise term (1 - F) / (F * 2**w) ~ 2**(m - w)
+        # overtakes the promise 2**-2r, so the gap holds only while m <= w - 2.
+        ok = [m for m in range(1, 3 * w) if sbp_thresholds(8, w, m, 2.0**-m, 0.1).sbp_ok]
+        assert ok == list(range(1, w - 1))
+
     def test_huge_width(self):
         report = sbp_thresholds(3, 2000, 4, 0.5, 0.5)
         assert report.no_upper == 1.5 * 0.5 * 2.0**-4 * 2.0**-6

@@ -277,6 +277,15 @@ class TestBoundChain:
         assert abs(links["noise_scaling"].lhs - links["noise_scaling"].rhs) <= 1e-10
         assert links["tensor_subadditivity"].lhs <= links["tensor_subadditivity"].rhs + 1e-10
 
+    def test_helstrom_link_allows_the_input_drift(self):
+        # The norm is 1 + 5e-10, legal within tol: the Helstrom sides then
+        # differ by (1/4) * ((1 + 5e-10)**22 - 1) = 2.75e-9, past ORACLE_TOL.
+        state = StateVector(1, [np.sqrt(1 + 5e-10), 0], tol=1e-9)
+        report = bound_chain(state, 1.0, 22)
+        helstrom = report.links[0]
+        assert abs(helstrom.lhs - helstrom.rhs) == pytest.approx(0.25 * 22 * 5e-10, rel=1e-3)
+        assert report.all_passed
+
     def test_k_one_advantage_scales_linearly_in_f(self):
         rho = random_density_matrix(1, 21)
         grid = [2.0**-e for e in range(1, 11)]

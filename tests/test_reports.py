@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from depolab import outcome_string
-from depolab.reports import FLOAT_CHUNK, _render_float, render_floats, render_json
+from depolab import outcome_string, reports
+from depolab.reports import FLOAT_CHUNK, _render_float, render_json
 
 # Finite floats, with the awkward ones drawn often: both zeros, subnormals
 # and a few repeats, so chunks share and split runs of equal values.
@@ -24,35 +24,45 @@ int_trees = st.dictionaries(
 )
 
 
-def flatten(chunks):
-    return [text for texts in chunks for text in texts]
+def as_list_text(arr):
+    """A non-empty float list as render_json prints it at the top level."""
+    return "[\n  " + ",\n  ".join(format(x, ".17g") for x in arr) + "\n]"
 
 
 class TestRenderFloats:
-    @given(float_arrays, st.integers(1, 9))
+    # FLOAT_CHUNK is set inside each body: hypothesis refuses function-scoped
+    # fixtures such as monkeypatch.
+    @given(float_arrays.filter(len), st.integers(1, 9))
     @settings(max_examples=300)
     def test_matches_format_per_entry(self, arr, chunk):
-        chunks = list(render_floats(arr, chunk))
-        assert flatten(chunks) == [format(x, ".17g") for x in arr]
-        assert [len(texts) for texts in chunks] == [
-            min(chunk, len(arr) - start) for start in range(0, len(arr), chunk)
-        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reports, "FLOAT_CHUNK", chunk)
+            assert render_json(arr) == as_list_text(arr)
+
+    def test_negative_zero_in_every_chunk(self):
+        arr = np.array([-0.0, 0.0, 0.5, -0.0, -0.0, 0.0, 0.0, -0.0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reports, "FLOAT_CHUNK", 3)
+            text = render_json(arr)
+        assert text == as_list_text(arr)
+        assert text.count("-0") == 4
 
     def test_default_chunk_boundary(self):
         arr = np.zeros(FLOAT_CHUNK + 3)
         arr[FLOAT_CHUNK - 2 : FLOAT_CHUNK + 2] = [0.25, -0.0, 1e-300, -0.0]
         arr[-1] = 0.25
-        chunks = list(render_floats(arr))
-        assert [len(texts) for texts in chunks] == [FLOAT_CHUNK, 3]
-        assert flatten(chunks) == [format(x, ".17g") for x in arr]
+        assert render_json(arr) == as_list_text(arr)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_raises_like_render_float(self, bad):
+        # The first non-finite entry is named, although it sits in the
+        # second chunk and a NaN follows in the third.
         with pytest.raises(ValueError) as expected:
             _render_float(bad)
         arr = np.array([0.5, 0.0, bad, 0.5, math.nan])
-        with pytest.raises(ValueError) as got:
-            list(render_floats(arr, 2))
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError) as got:
+            mp.setattr(reports, "FLOAT_CHUNK", 2)
+            render_json({"probabilities": arr})
         assert str(got.value) == str(expected.value)
 
 
