@@ -5,7 +5,7 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from depolab import outcome_string, reports
 from depolab.reports import FLOAT_CHUNK, _render_float, render_json
@@ -33,19 +33,12 @@ class TestRenderFloats:
     # FLOAT_CHUNK is set inside each body: hypothesis refuses function-scoped
     # fixtures such as monkeypatch.
     @given(float_arrays.filter(len), st.integers(1, 9))
+    @example(np.array([-0.0, 0.0, 0.5, -0.0, -0.0, 0.0, 0.0, -0.0]), 3)  # -0 in every chunk
     @settings(max_examples=300)
     def test_matches_format_per_entry(self, arr, chunk):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reports, "FLOAT_CHUNK", chunk)
             assert render_json(arr) == as_list_text(arr)
-
-    def test_negative_zero_in_every_chunk(self):
-        arr = np.array([-0.0, 0.0, 0.5, -0.0, -0.0, 0.0, 0.0, -0.0])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reports, "FLOAT_CHUNK", 3)
-            text = render_json(arr)
-        assert text == as_list_text(arr)
-        assert text.count("-0") == 4
 
     def test_default_chunk_boundary(self):
         arr = np.zeros(FLOAT_CHUNK + 3)
