@@ -13,9 +13,14 @@ not fall behind (tests/oracles.py), `mixture_distribution` by (w, m),
 `bound_chain` on a pure state by (w, k), `random_density_matrix`,
 `parse_circuit`, rendering the 10**6-draw tally report, thm1's mixture
 checksum (the hash alone, on a mixture built beforehand), and (full runs
-only) the tier-1 suite.  The file also records the
-Python and numpy versions, the core count, the src line count and the git
-commit.  --quick runs the same rows at small sizes in a few seconds.
+only) the tier-1 suite.  Right after each row, as many calls of a fixed
+reference that imports nothing from depolab are timed, and their median
+is stored as the row's ref_s: median_s / ref_s follows the code rather
+than how fast the host runs right now.  --compare prints that
+ratio's change next to the raw one, when the older file has ref_s.  The
+file also records the Python and numpy versions, the core count, the src
+line count and the git commit.  --quick runs the same rows at small sizes
+in a few seconds.
 
 These are in-process layer times.  perfbench/run.py measures something
 else: whole CLI runs, one fresh interpreter each, scaled by a reference
@@ -62,7 +67,7 @@ from depolab.reports import render_json  # noqa: E402
 from depolab.statevector import _apply_gate_inplace  # noqa: E402
 from oracles import draw_order_sample  # noqa: E402
 
-SCHEMA = "depolab-bench/1"
+SCHEMA = "depolab-bench/2"
 KINDS = ("H", "S", "T", "X", "I1", "CNOT")
 FULL = {
     "run": (16, 20, 22),
@@ -168,6 +173,21 @@ def cases(sizes: dict, workdir: Path):
     yield "mixture_checksum", f"w={w} m={m}", lambda: _mixture_checksum(mix), 1, False
 
 
+def reference_work():
+    """The reference: a 2**20 complex multiply into a preallocated buffer
+    plus a sort of 2**18 floats, numpy work of the kind most rows time."""
+    gen = rng(0)
+    amps = gen.standard_normal(1 << 20) * (1.0 + 1.0j)
+    out = np.empty_like(amps)
+    keys = gen.random(1 << 18)
+
+    def work():
+        np.multiply(amps, 0.5 - 0.5j, out=out)
+        np.sort(keys)
+
+    return work
+
+
 def median_seconds(fn, calls: int, repeats: int, warm_up: bool) -> float:
     if warm_up:  # first-touch pages and caches; too dear for the heavy rows
         fn()
@@ -225,16 +245,23 @@ def main() -> None:
     previous = {}
     if args.compare:
         rows = json.loads(Path(args.compare).read_text(encoding="utf-8"))["rows"]
-        previous = {(r["layer"], r["case"]): r["median_s"] for r in rows}
+        previous = {(r["layer"], r["case"]): r for r in rows}
 
     rows = []
+    reference = reference_work()
 
-    def record(layer: str, case: str, seconds: float, runs: int) -> None:
-        rows.append({"layer": layer, "case": case, "median_s": seconds, "runs": runs})
-        line = f"{layer:<27} {case:<26} {seconds * 1e3:>11.3f} ms"
+    def record(layer: str, case: str, median: float, runs: int) -> None:
+        # Timed after the row, not between its calls, because the
+        # reference's 36 MiB of arrays would evict the caches that the
+        # small rows run in.
+        ref = median_seconds(reference, 1, runs, True)
+        rows.append({"layer": layer, "case": case, "median_s": median, "ref_s": ref, "runs": runs})
+        line = f"{layer:<27} {case:<26} {median * 1e3:>11.3f} ms"
         before = previous.get((layer, case))
-        if before:
-            line += f"   was {before * 1e3:>11.3f} ms  x{seconds / before:.2f}"
+        if before and before["median_s"]:
+            line += f"   was {before['median_s'] * 1e3:>11.3f} ms  x{median / before['median_s']:.2f}"
+            if before.get("ref_s"):
+                line += f"  per ref x{median / ref / (before['median_s'] / before['ref_s']):.2f}"
         print(line, flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:

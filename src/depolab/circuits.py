@@ -20,9 +20,9 @@ strings print qubit 0 leftmost.
 Validation has one source: gate_problems holds the gate rules (kind,
 arity, target range, distinct targets).  A Circuit checks itself when it
 is built and raises every violation as one InvalidCircuit (a ValueError),
-so no consumer checks it again; parse_circuit builds its Circuit once and
-reports the first violation on that gate's line, with the line's 1-based
-number.
+so no consumer checks it again.  parse_circuit only splits the text, builds
+its Circuit once and reports the first violation on its line, with the
+line's 1-based number.
 """
 
 from __future__ import annotations
@@ -106,11 +106,13 @@ def gate_problems(g: Gate, width: int) -> list[str]:
 def parse_circuit(text: str) -> Circuit:
     """Parse the text format into a Circuit.
 
-    Raises CircuitParseError (with a 1-based line number) on the first
-    problem found: a bad header, a qubit token that is not an integer, or
-    the first of gate_problems for the line's gate.
+    The parser only splits lines into tokens; a width or qubit token that
+    is not an integer is passed on as its text.  The Circuit built from
+    them reports the first problem in line order, which is raised as a
+    CircuitParseError on that line (1-based; the header's line for a bad
+    width).
     """
-    width = None
+    header = None  # (line number, width token)
     gates = []
     lines = []  # the line number of each gate
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -118,40 +120,29 @@ def parse_circuit(text: str) -> Circuit:
         if not line:
             continue
         tokens = line.split()
-        if width is None:
+        if header is None:
             if tokens[0] != "qubits" or len(tokens) != 2:
                 raise CircuitParseError(
                     lineno, f"expected 'qubits <n>' header, got {line!r}"
                 )
-            try:
-                width = int(tokens[1])
-            except ValueError:
-                raise CircuitParseError(
-                    lineno, f"qubit count must be an integer, got {tokens[1]!r}"
-                ) from None
-            if width < 1:
-                raise CircuitParseError(lineno, f"qubit count must be >= 1, got {width}")
+            header = lineno, _integer_or_text(tokens[1])
             continue
-        targets = []
-        for tok in tokens[1:]:
-            try:
-                targets.append(int(tok))
-            except ValueError:
-                _build_parsed(width, gates, lines)  # a problem on an earlier line comes first
-                raise CircuitParseError(lineno, f"invalid qubit index {tok!r}") from None
-        gates.append(Gate(tokens[0], tuple(targets)))
+        gates.append(Gate(tokens[0], tuple(map(_integer_or_text, tokens[1:]))))
         lines.append(lineno)
-    if width is None:
+    if header is None:
         raise CircuitParseError(1, "missing 'qubits <n>' header")
-    return _build_parsed(width, gates, lines)
-
-
-def _build_parsed(width: int, gates: list[Gate], lines: list[int]) -> Circuit:
-    """Circuit(width, gates), its first problem raised on that gate's line."""
     try:
-        return Circuit(width, gates)
+        return Circuit(header[1], gates)
     except InvalidCircuit as err:
-        raise CircuitParseError(lines[err.gate_index], err.problem) from None
+        line = header[0] if err.gate_index is None else lines[err.gate_index]
+        raise CircuitParseError(line, err.problem) from None
+
+
+def _integer_or_text(token: str) -> int | str:
+    try:
+        return int(token)
+    except ValueError:
+        return token
 
 
 def serialize_circuit(circuit: Circuit) -> str:

@@ -17,15 +17,17 @@ def test_quick_run_schema(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     bench = json.loads(out.read_text(encoding="utf-8"))
-    assert bench["schema"] == "depolab-bench/1"
+    assert bench["schema"] == "depolab-bench/2"
     env = bench["environment"]
     assert env["quick"] is True and env["repeats"] == 1
     assert env["cores"] >= 1 and env["src_lines"] > 0
     for key in ("depolab", "python", "numpy", "machine", "git_sha", "git_dirty"):
         assert key in env
     for row in bench["rows"]:
-        assert set(row) == {"layer", "case", "median_s", "runs"}
+        assert set(row) == {"layer", "case", "median_s", "ref_s", "runs"}
         assert math.isfinite(row["median_s"]) and row["median_s"] >= 0 and row["runs"] >= 1
+        # The reference's time, the divisor of a host-independent ratio.
+        assert math.isfinite(row["ref_s"]) and row["ref_s"] > 0
     cases = {(row["layer"], row["case"]) for row in bench["rows"]}
     assert len(cases) == len(bench["rows"])
     kinds = {case.split()[0] for layer, case in cases if layer == "kernel"}

@@ -65,6 +65,8 @@ class TestParse:
             parse_circuit("qubits 0\n")
         with pytest.raises(CircuitParseError, match="integer"):
             parse_circuit("qubits two\n")
+        with pytest.raises(CircuitParseError, match="line 2: width must be >= 1"):
+            parse_circuit("# c\nqubits 0\n")
 
     def test_bad_arity(self):
         with pytest.raises(CircuitParseError, match="line 2.*H takes 1"):
@@ -73,7 +75,7 @@ class TestParse:
             parse_circuit("qubits 2\nCNOT 0\n")
 
     def test_bad_index_token(self):
-        with pytest.raises(CircuitParseError, match="invalid qubit index"):
+        with pytest.raises(CircuitParseError, match="qubit 'zero' is not an integer"):
             parse_circuit("qubits 1\nH zero\n")
 
     def test_first_problem_on_its_gates_line(self):
