@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Subcommands map one-to-one onto the package's analyses:
+_SUBCOMMANDS is the one registry, one runner per analysis:
 
 * simulate      exact output distribution of a circuit file
 * depolarize    depolarized distributions plus seeded tallies per fidelity
@@ -9,7 +9,7 @@ Subcommands map one-to-one onto the package's analyses:
 * sbp-gap       yes/no acceptance thresholds for given (r, w, m, F, eps)
 * discriminate  k-copy discrimination bound chain
 
-Every run emits a single JSON report (stdout, or --out PATH) that echoes
+Every run emits one JSON report (stdout, or --out PATH) that echoes
 the full config and the package version; identical (config, version) gives
 byte-identical reports.  Wall time goes to stderr so it never perturbs the
 report bytes.
@@ -44,7 +44,7 @@ from .depol import (
     multiplicative_certificate,
     sample,
 )
-from .discrimination import bound_chain, random_density_matrix
+from .discrimination import _check_power_cap, bound_chain, random_density_matrix
 from .errors import CapExceeded, CircuitParseError
 from .reports import render_json
 from .statevector import distribution_of, output_distribution, run, zero_overlap
@@ -82,8 +82,7 @@ def _certificate_dict(report) -> dict:
     return {key: value for key, value in asdict(report).items() if value is not None}
 
 
-def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
-    circuit = _load_circuit(config.circuit_path)
+def _run_simulate(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
     state = run(circuit)
     dist = distribution_of(state)
     amp = complex(state.amps[0])
@@ -97,8 +96,7 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, bool]:
     return results, True
 
 
-def _run_depolarize(config: ExperimentConfig) -> tuple[dict, bool]:
-    circuit = _load_circuit(config.circuit_path)
+def _run_depolarize(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
     ideal = output_distribution(circuit)
     entries = []
     for f in config.fidelity_grid:
@@ -116,8 +114,7 @@ def _run_depolarize(config: ExperimentConfig) -> tuple[dict, bool]:
     return results, True
 
 
-def _run_certify(config: ExperimentConfig) -> tuple[dict, bool]:
-    circuit = _load_circuit(config.circuit_path)
+def _run_certify(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
     ideal = output_distribution(circuit)
     entries = []
     all_passed = True
@@ -144,8 +141,7 @@ def _mixture_checksum(mix) -> str:
     return hashlib.sha256(mix.probs.astype("<f8", copy=False)).hexdigest()
 
 
-def _run_thm1(config: ExperimentConfig) -> tuple[dict, bool]:
-    circuit = _load_circuit(config.circuit_path)
+def _run_thm1(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
     rc = RandomizedCircuit(circuit)
     q = abs(zero_overlap(circuit)) ** 2
     spikes = [
@@ -167,7 +163,7 @@ def _run_thm1(config: ExperimentConfig) -> tuple[dict, bool]:
     return results, True
 
 
-def _run_sbp_gap(config: ExperimentConfig) -> tuple[dict, bool]:
+def _run_sbp_gap(config: ExperimentConfig, _circuit) -> tuple[dict, bool]:
     entries = []
     all_ok = True
     for f in config.fidelity_grid:
@@ -177,9 +173,10 @@ def _run_sbp_gap(config: ExperimentConfig) -> tuple[dict, bool]:
     return {"per_fidelity": entries}, all_ok
 
 
-def _run_discriminate(config: ExperimentConfig) -> tuple[dict, bool]:
-    if config.circuit_path is not None:
-        circuit = _load_circuit(config.circuit_path)
+def _run_discriminate(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
+    # Refuse too many copies before the state is simulated or drawn.
+    _check_power_cap(config.w if circuit is None else circuit.width, config.k)
+    if circuit is not None:
         rho = run(circuit)
         source = "circuit"
     else:
@@ -201,25 +198,27 @@ def _run_discriminate(config: ExperimentConfig) -> tuple[dict, bool]:
     return results, all_passed
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "depolarize": _run_depolarize,
-    "certify": _run_certify,
-    "thm1": _run_thm1,
-    "sbp-gap": _run_sbp_gap,
-    "discriminate": _run_discriminate,
+_SUBCOMMANDS = {
+    "simulate": (_run_simulate, "exact output distribution of a circuit"),
+    "depolarize": (_run_depolarize, "depolarized distributions and tallies"),
+    "certify": (_run_certify, "closeness-to-uniform certificates"),
+    "thm1": (_run_thm1, "randomized ancilla construction acceptance"),
+    "sbp-gap": (_run_sbp_gap, "yes/no acceptance thresholds"),
+    "discriminate": (_run_discriminate, "k-copy discrimination bound chain"),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute one subcommand and assemble the full report document."""
-    runner = _RUNNERS.get(config.subcommand)
-    if runner is None:
+    if config.subcommand not in _SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
+    runner, _ = _SUBCOMMANDS[config.subcommand]
     check_seed(config.seed)
     for f in config.fidelity_grid:
         check_fidelity(f)
-    results, passed = runner(config)
+    # The one circuit load: each runner takes (config, circuit), None without a file.
+    circuit = None if config.circuit_path is None else _load_circuit(config.circuit_path)
+    results, passed = runner(config, circuit)
     echo = asdict(config)
     echo["fidelity_grid"] = list(config.fidelity_grid)
     return {
@@ -248,49 +247,42 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = ExperimentConfig(subcommand="")
     parser = argparse.ArgumentParser(
         prog="depolab",
         description="Exact sampling and verification for globally depolarized circuits",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, circuit_required=None):
-        if circuit_required is not None:
-            p.add_argument("--circuit", required=circuit_required, help="circuit file path")
-        p.add_argument("--fidelity", type=_parse_fidelity_grid, default=(0.5,),
+    for name, (_, text) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name != "sbp-gap":
+            p.add_argument("--circuit", required=name != "discriminate", help="circuit file path")
+        # A tuple default would print as "(0.5,)", so this help spells it out.
+        p.add_argument("--fidelity", type=_parse_fidelity_grid, default=defaults.fidelity_grid,
                        help="fidelity value or comma-separated grid (default 0.5)")
-        p.add_argument("--seed", type=int, default=0, help="64-bit sampler seed (default 0)")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
+        p.add_argument("--seed", type=int, default=defaults.seed,
+                       help="64-bit sampler seed (default %(default)s)")
+        p.add_argument("--out", help="write the report here instead of stdout")
 
-    p = sub.add_parser("simulate", help="exact output distribution of a circuit")
-    common(p, circuit_required=True)
-
-    p = sub.add_parser("depolarize", help="depolarized distributions and tallies")
-    common(p, circuit_required=True)
-    p.add_argument("--samples", type=_positive_int, default=10000,
-                   help="tally size (default 10000)")
-
-    p = sub.add_parser("certify", help="closeness-to-uniform certificates")
-    common(p, circuit_required=True)
-
-    p = sub.add_parser("thm1", help="randomized ancilla construction acceptance")
-    common(p, circuit_required=True)
-
-    p = sub.add_parser("sbp-gap", help="yes/no acceptance thresholds")
-    common(p)
-    p.add_argument("--r", type=_positive_int, default=3, help="promise-gap exponent (default 3)")
-    p.add_argument("--w", type=_positive_int, default=10, help="main register width (default 10)")
-    p.add_argument("--m", type=_positive_int, default=4, help="step count (default 4)")
-    p.add_argument("--epsilon", type=float, default=0.5,
-                   help="sampler relative error in [0, 1) (default 0.5)")
-
-    p = sub.add_parser("discriminate", help="k-copy discrimination bound chain")
-    common(p, circuit_required=False)
-    p.add_argument("--k", type=_positive_int, default=1, help="number of copies (default 1)")
+    p = sub.choices["depolarize"]
+    p.add_argument("--samples", type=_positive_int, default=defaults.samples,
+                   help="tally size (default %(default)s)")
+    p = sub.choices["sbp-gap"]
+    p.add_argument("--r", type=_positive_int, default=defaults.r,
+                   help="promise-gap exponent (default %(default)s)")
+    p.add_argument("--w", type=_positive_int, default=defaults.w,
+                   help="main register width (default %(default)s)")
+    p.add_argument("--m", type=_positive_int, default=defaults.m,
+                   help="step count (default %(default)s)")
+    p.add_argument("--epsilon", type=float, default=defaults.epsilon,
+                   help="sampler relative error in [0, 1) (default %(default)s)")
+    p = sub.choices["discriminate"]
+    p.add_argument("--k", type=_positive_int, default=defaults.k,
+                   help="number of copies (default %(default)s)")
+    # The seeded random state is 2 qubits wide by default, not sbp-gap's w.
     p.add_argument("--w", type=_positive_int, default=2,
-                   help="width of the seeded random state when no --circuit (default 2)")
-
+                   help="width of the seeded random state when no --circuit (default %(default)s)")
     return parser
 
 

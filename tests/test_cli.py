@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -50,6 +51,25 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def masked_digest(config):
+    """sha256 of config's rendered report, version and circuit path masked."""
+    report = run_experiment(config)
+    report["version"] = "pinned"
+    if report["config"]["circuit_path"] is not None:
+        report["config"]["circuit_path"] = "pinned"
+    return hashlib.sha256(render_json(report).encode()).hexdigest()
+
+
+@pytest.fixture
+def pinned_path(tmp_path):
+    # A seeded 5-qubit, 20-gate circuit shared by the certify and
+    # discriminate pins.
+    rng = np.random.Generator(np.random.Philox(key=13))
+    path = tmp_path / "pinned.qc"
+    path.write_text(serialize_circuit(random_circuit(5, 20, rng)))
+    return str(path)
 
 
 class TestSimulate:
@@ -135,6 +155,16 @@ class TestCertify:
         entry = report["results"]["per_fidelity"][0]
         assert "skipped" in entry["multiplicative"]
         assert entry["additive"]["passed"] is True
+
+    def test_pinned_report(self, pinned_path):
+        # Pinned at v0.10.0: both certificates, and the skipped one above 1/2.
+        config = ExperimentConfig(
+            subcommand="certify",
+            circuit_path=pinned_path,
+            fidelity_grid=(0.0, 0.03125, 0.25, 0.5, 0.9, 1.0),
+        )
+        digest = masked_digest(config)
+        assert digest == "b3650e30358c47a4e458c09024dfd231929cc59df2524a7b3c0f48e67dd255ca"
 
 
 class TestThm1:
@@ -226,6 +256,14 @@ class TestSbpGap:
             assert entry["yes_lower"] == entry["no_upper"] == 0.0
             assert entry["ratio"] == base["results"]["per_fidelity"][0]["ratio"]
 
+    def test_pinned_report(self):
+        # Pinned at v0.10.0, a grid whose smallest fidelity fails sbp_ok.
+        config = ExperimentConfig(
+            subcommand="sbp-gap", fidelity_grid=(0.001, 0.1, 0.5, 1.0), r=5, w=8, m=6, epsilon=0.25
+        )
+        digest = masked_digest(config)
+        assert digest == "46646c9f33f09bc0652397167ef3a43064616d0a3d8b7e3cdc064b76072f7096"
+
     @pytest.mark.parametrize("argv", [["--r", "600", "--w", "2000"], ["--fidelity", "1e-320"]])
     def test_out_of_float_range_exits_two(self, capsys, argv):
         assert main(["sbp-gap", *argv]) == 2
@@ -253,6 +291,27 @@ class TestDiscriminate:
         assert code == 0
         assert report["results"]["source"] == "random"
         assert report["results"]["width"] == 1
+
+    @pytest.mark.parametrize(
+        "source, digest",
+        [
+            ("circuit", "602c4c0023494f3fac6c5a1b29aed94fb703f68c363638cae988ff9c9691ee87"),
+            ("random", "0c19cfc9a14dda60c0d79edeaeb03435b628c91bf189bfdf5ed2e73c8384d5dd"),
+        ],
+        ids=["circuit", "random"],
+    )
+    def test_pinned_report(self, pinned_path, source, digest):
+        # Pinned at v0.10.0: k = 2 copies of the circuit's pure state, or of
+        # a seeded full-rank 3-qubit density matrix.
+        config = ExperimentConfig(
+            subcommand="discriminate",
+            circuit_path=pinned_path if source == "circuit" else None,
+            fidelity_grid=(0.0625, 0.5, 1.0),
+            seed=5,
+            k=2,
+            w=3,
+        )
+        assert masked_digest(config) == digest
 
 
 class TestErrorPaths:
@@ -318,6 +377,29 @@ class TestErrorPaths:
         assert main(["discriminate", "--w", "12"]) == 4
         assert "2**28 bytes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--w", "11", "--k", "3"], "2**36 bytes"),
+            # Past the density cap as well: the k-copy cap is named first.
+            (["--w", "12", "--k", "2"], "2**27 bytes"),
+            (["--circuit", "WIDE", "--k", "1"], "2**26 bytes"),
+        ],
+    )
+    def test_power_cap_refused_before_the_state(self, capsys, monkeypatch, tmp_path, argv, message):
+        # 23 qubits, 8 gates: simulating it would take seconds before the cap.
+        path = tmp_path / "wide.qc"
+        path.write_text("qubits 23\n" + "".join(f"H {q}\n" for q in range(8)))
+
+        def refuse(*args):
+            raise AssertionError("the state was built before the cap check")
+
+        monkeypatch.setattr(depolab.cli, "run", refuse)
+        monkeypatch.setattr(depolab.cli, "random_density_matrix", refuse)
+        argv = [str(path) if a == "WIDE" else a for a in argv]
+        assert main(["discriminate", *argv]) == 4
+        assert message in capsys.readouterr().err
+
     def test_circuit_state_skips_the_density_cap(self, capsys, tmp_path):
         # A circuit's pure state is never densified: 12 qubits run, and only
         # POWER_CAP stops 2 copies (24 qubits, 2**27 bytes of eigenvalues).
@@ -376,6 +458,29 @@ class TestRoundOffDrift:
         code, report = run_cli(capsys, [subcommand, "--circuit", long_path, "--fidelity", "0.5,1"])
         assert code == 0
         assert report["results"]["width"] == 1
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--circuit", "c.qc"],
+            ["depolarize", "--circuit", "c.qc"],
+            ["certify", "--circuit", "c.qc"],
+            ["thm1", "--circuit", "c.qc"],
+            ["sbp-gap"],
+            ["discriminate"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_parser_defaults_are_the_config_defaults(self, argv):
+        # ExperimentConfig is the one source of defaults; discriminate's
+        # random-state width (2) is the parser's own.
+        config = depolab.cli._config_from_args(depolab.cli.build_parser().parse_args(argv))
+        expected = ExperimentConfig(subcommand=argv[0], circuit_path=(argv[2:] or [None])[0])
+        if argv[0] == "discriminate":
+            expected = dataclasses.replace(expected, w=2)
+        assert config == expected
 
 
 class TestReproducibility:
