@@ -11,7 +11,8 @@ gate), `run` on random circuits, depolarize and both certificates,
 `sample` over a width x count grid next to the draw-order lookup it must
 not fall behind (tests/oracles.py), `mixture_distribution` by (w, m),
 `bound_chain` on a pure state by (w, k), `random_density_matrix`,
-`parse_circuit`, rendering the 10**6-draw tally report, thm1's mixture
+`parse_circuit`, rendering the 10**6-draw tally report (to a string, and
+streamed into os.devnull), thm1's mixture
 checksum (the hash alone, on a mixture built beforehand), and (full runs
 only) the tier-1 suite.  Right after each row, as many calls of a fixed
 reference that imports nothing from depolab are timed, and their median
@@ -158,6 +159,8 @@ def cases(sizes: dict, workdir: Path):
         seed=1, samples=count,
     ))
     yield "render_json", f"depolarize w={w} samples={count}", lambda: render_json(report), 1, False
+    yield ("render_json", f"depolarize w={w} samples={count} to devnull",
+           lambda: render_to_devnull(report), 1, False)
     for w in sizes["kernel"]:
         for kind in KINDS:
             sweep, calls = kernel_sweep(w, kind)
@@ -171,6 +174,12 @@ def cases(sizes: dict, workdir: Path):
     w, m = sizes["checksum"]
     mix = mixture_distribution(RandomizedCircuit(random_circuit(w, m, rng(w + m))))
     yield "mixture_checksum", f"w={w} m={m}", lambda: _mixture_checksum(mix), 1, False
+
+
+def render_to_devnull(report) -> None:
+    """The CLI's --out route: the report streamed into a file as it renders."""
+    with open(os.devnull, "w", encoding="utf-8") as handle:
+        render_json(report, handle)
 
 
 def reference_work():

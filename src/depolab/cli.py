@@ -24,6 +24,7 @@ import argparse
 import hashlib
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -291,6 +292,21 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**{renamed.get(k, k): v for k, v in vars(args).items()})
 
 
+@dataclass(frozen=True)
+class _Output:
+    """stdout, or the --out file, opened only when render_json writes: that
+    is after it has checked the report, so a render error truncates nothing."""
+
+    path: str | None
+
+    def writelines(self, pieces) -> None:
+        with (nullcontext(sys.stdout) if self.path is None
+              else open(self.path, "w", encoding="utf-8")) as out:
+            out.writelines(pieces)
+            out.write("\n")
+            out.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)  # exits 2 on usage errors
@@ -298,13 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = run_experiment(config)
-        payload = render_json(report) + "\n"
-        if config.out_path is not None:
-            with open(config.out_path, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        else:
-            sys.stdout.write(payload)
-            sys.stdout.flush()
+        render_json(report, _Output(config.out_path))
         elapsed = time.perf_counter() - started
     except CircuitParseError as err:
         print(f"depolab: circuit file error: {err}", file=sys.stderr)

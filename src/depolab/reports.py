@@ -7,9 +7,12 @@ every float with 17 significant digits (enough to round-trip a double
 exactly), keeps dict insertion order, and indents with two spaces.   The
 output is plain JSON, loadable with json.loads.
 
-A 1-D float64 array formats each distinct value once and is rendered in
-chunks: probability vectors of Clifford+T circuits hold millions of
-entries but only a handful of distinct values.
+A report is rendered as a stream of text pieces that render_json(value,
+out) writes as they are made, so the peak is the report tree plus one
+piece.  A 1-D float64 array is one piece per FLOAT_CHUNK entries, each
+distinct value formatted once (probability vectors of Clifford+T circuits
+hold millions of entries but only a handful of distinct values), and a run
+of exact-int items in a dict (a tally) is one piece.
 """
 
 from __future__ import annotations
@@ -34,13 +37,11 @@ FLOAT_CHUNK = 1 << 16
 
 
 def _render_floats(values: np.ndarray) -> Iterator[list[str]]:
-    """_render_float of each entry of a 1-D float64 array, one list per
-    FLOAT_CHUNK entries.  Each distinct value is formatted once and found by
-    binary search, so no full-length index, object array or list of strings
-    is held.  NaN and infinities raise before anything is yielded."""
+    """_render_float of each entry of a finite 1-D float64 array, one list
+    per FLOAT_CHUNK entries.  Each distinct value is formatted once and found
+    by binary search, so no full-length index, object array or list of
+    strings is held."""
     distinct = np.unique(values)
-    if not np.isfinite(distinct).all():
-        _render_float(float(values[~np.isfinite(values)][0]))
     # np.unique merges -0.0 into 0.0 and may keep either: print 0 for the
     # merged value and put the sign back per chunk below.
     distinct[distinct == 0] = 0.0
@@ -52,41 +53,68 @@ def _render_floats(values: np.ndarray) -> Iterator[list[str]]:
         yield out.tolist()
 
 
-def render_json(value, indent: int = 0) -> str:
-    """Render a report tree (dict/list/str/float/int/bool/None) as JSON."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _check_finite(value) -> None:
+    """Refuse the first non-finite float leaf in render order, as _render_float does."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        if not np.isfinite(value).all():
+            _render_float(float(value[~np.isfinite(value)][0]))
+    elif isinstance(value, (float, np.floating)):
+        _render_float(float(value))
+    elif isinstance(value, (dict, list, tuple, np.ndarray)):
+        for item in value.values() if isinstance(value, dict) else value:
+            if type(item) is not int:  # tally counts: most leaves, never floats
+                _check_finite(item)
+
+
+def _pieces(value, indent: int) -> Iterator[str]:
+    """render_json's text of value, in pieces whose join is the whole text."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         value = value.item()
     if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _render_float(value)
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
+        yield "null"
+    elif isinstance(value, bool):
+        yield "true" if value else "false"
+    elif isinstance(value, int):
+        yield str(value)
+    elif isinstance(value, float):
+        yield _render_float(value)
+    elif isinstance(value, str):
+        yield _quote(value)
+    elif isinstance(value, (dict, list, tuple, np.ndarray)) and not len(value):
+        yield "{}" if isinstance(value, dict) else "[]"
+    elif isinstance(value, dict):
+        run, sep = [], "{\n"
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            # An exact int is its own text; an unnamed child is freed before the join.
-            items.append(f"{inner}{_quote(key)}: "
-                         f"{item if type(item) is int else render_json(item, indent + 1)}")
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1 and value.size:
-        sep = ",\n" + inner
-        body = sep.join(sep.join(texts) for texts in _render_floats(value))
-        return f"[\n{inner}{body}\n{pad}]"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{render_json(item, indent + 1)}" for item in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot render {type(value).__name__} in a report")
+            if type(item) is int:  # a run of exact ints (a tally) is one piece
+                run.append(f"{sep}{inner}{_quote(key)}: {item}")
+            else:
+                yield "".join(run) + f"{sep}{inner}{_quote(key)}: "
+                run = []
+                yield from _pieces(item, indent + 1)
+            sep = ",\n"
+        yield "".join(run) + f"\n{pad}}}"
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
+        sep, head = ",\n" + inner, "[\n" + inner
+        for texts in _render_floats(value):
+            yield head + sep.join(texts)
+            head = sep
+        yield f"\n{pad}]"
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        for i, item in enumerate(value):
+            yield ("[\n" if i == 0 else ",\n") + inner
+            yield from _pieces(item, indent + 1)
+        yield f"\n{pad}]"
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} in a report")
+
+
+def render_json(value, out=None) -> str | None:
+    """Render a report tree (dict/list/str/float/int/bool/None) as JSON: return
+    the text, or with out, hand it to out.writelines in pieces as it is
+    rendered.  A non-finite float anywhere raises before the first piece."""
+    _check_finite(value)
+    pieces = _pieces(value, 0)
+    return "".join(pieces) if out is None else out.writelines(pieces)

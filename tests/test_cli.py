@@ -136,6 +136,20 @@ class TestDepolarize:
         digest = hashlib.sha256(render_json(report).encode()).hexdigest()
         assert digest == "0d070db4f2de2e221995f45ed135ba7378aa1102d94a3095cb5d02cfe6fbece5"
 
+    def test_streamed_outputs_match_the_rendered_text(self, capsysbinary, monkeypatch, tmp_path):
+        # The golden command through main: stdout and --out get, byte for
+        # byte, the text render_json returns for the same config (the two
+        # configs differ only in the echoed out_path).
+        monkeypatch.chdir(ROOT)
+        argv = ["depolarize", "--circuit", "circuits/ghz.qc", "--fidelity", "0.25,0.5,0.9",
+                "--seed", "7", "--samples", "100000"]
+        out = tmp_path / "report.json"
+        for args, read in [(argv, lambda: capsysbinary.readouterr().out),
+                           (argv + ["--out", str(out)], out.read_bytes)]:
+            assert main(args) == 0
+            config = depolab.cli._config_from_args(depolab.cli.build_parser().parse_args(args))
+            assert read() == (render_json(run_experiment(config)) + "\n").encode()
+
 
 class TestCertify:
     def test_bell_half(self, capsys, bell_path):
@@ -345,6 +359,19 @@ class TestErrorPaths:
         assert captured.out == ""
         assert "usage error" in captured.err and "inf" in captured.err
 
+    def test_render_error_leaves_out_file_alone(self, capsys, monkeypatch, tmp_path, bell_path):
+        # The report is checked whole before --out is opened: opening it
+        # with "w" would truncate an old report or create an empty file.
+        report = {"version": __version__, "passed": True, "results": {"p": [0.5, math.nan]}}
+        monkeypatch.setattr(depolab.cli, "run_experiment", lambda config: report)
+        old, missing = tmp_path / "old.json", tmp_path / "missing.json"
+        old.write_bytes(b'{"kept": 1}\n')
+        for out in (old, missing):
+            assert main(["simulate", "--circuit", bell_path, "--out", str(out)]) == 2
+            assert "reports must not contain nan" in capsys.readouterr().err
+        assert old.read_bytes() == b'{"kept": 1}\n'
+        assert not missing.exists()
+
     def test_bad_flag_exits_two(self, bell_path):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--circuit", bell_path, "--fidelity", "abc"])
@@ -520,9 +547,9 @@ class TestEndToEnd:
     def test_wall_time_covers_rendering(self, capsys, monkeypatch, bell_path):
         render = depolab.cli.render_json
 
-        def slow_render(report):
+        def slow_render(report, out=None):
             time.sleep(0.2)
-            return render(report)
+            return render(report, out)
 
         monkeypatch.setattr(depolab.cli, "render_json", slow_render)
         assert main(["simulate", "--circuit", bell_path]) == 0

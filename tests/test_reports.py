@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import tracemalloc
+from collections import deque
 
 import hypothesis.strategies as st
 import numpy as np
@@ -22,6 +24,29 @@ leaves = st.one_of(st.integers(), st.booleans())
 int_trees = st.dictionaries(
     st.text(), st.one_of(leaves, st.dictionaries(st.text(), leaves)), max_size=8
 )
+
+
+class Pieces:
+    """A sink that keeps each piece render_json hands it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def writelines(self, pieces):
+        self.pieces.extend(pieces)
+
+
+class Discard:
+    """A sink that drops each piece as soon as it is made."""
+
+    def writelines(self, pieces):
+        deque(pieces, maxlen=0)
+
+
+def streamed(tree):
+    sink = io.StringIO()
+    assert render_json(tree, sink) is None
+    return sink.getvalue()
 
 
 def as_list_text(arr):
@@ -94,8 +119,9 @@ class TestRenderJson:
             render_json({"tally": {key: 1}})
 
     def test_render_peak_memory(self):
-        # A rendered child must not outlive its parent's join: holding each
-        # one took the traced peak from 3.0 to 4.0 times the output length.
+        # The returned text is one join of the streamed pieces: the traced
+        # peak is the pieces plus the text, 2.2 times the output length
+        # (3.0 when each dict joined its own items before its parent did).
         tally = {outcome_string(z, 14): 1000 + z for z in range(1 << 14)}
         tree = {"results": {"per_fidelity": [{"tally": tally}] * 3}}
         tracemalloc.start()
@@ -104,4 +130,66 @@ class TestRenderJson:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * len(text)
+        assert peak < 2.6 * len(text)
+
+    def test_streamed_peak_is_one_child(self):
+        # Streamed, nothing outlives its piece: 12 tallies peak where 3 do.
+        tally = {outcome_string(z, 14): 1000 + z for z in range(1 << 14)}
+        peaks = []
+        for copies in (3, 12):
+            tree = {"results": {"per_fidelity": [{"tally": tally}] * copies}}
+            tracemalloc.start()
+            try:
+                render_json(tree, Discard())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+
+
+class TestStreamed:
+    """render_json(tree, out) writes exactly render_json(tree), in pieces."""
+
+    @given(float_arrays, st.integers(1, 9))
+    @example(np.array([-0.0, 0.0, 0.5, -0.0, -0.0, 0.0, 0.0, -0.0]), 3)
+    @settings(max_examples=200)
+    def test_float_arrays(self, arr, chunk):
+        tree = {"probabilities": arr, "nested": [arr, {"x": arr}], "empty": []}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reports, "FLOAT_CHUNK", chunk)
+            assert streamed(arr) == render_json(arr)
+            assert streamed(tree) == render_json(tree)
+
+    @given(int_trees)
+    @settings(max_examples=200)
+    def test_int_trees(self, tree):
+        assert streamed(tree) == render_json(tree) == json.dumps(tree, indent=2)
+
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), finite, st.text()),
+        lambda children: st.one_of(st.lists(children, max_size=4),
+                                   st.dictionaries(st.text(), children, max_size=4)),
+        max_leaves=30,
+    ))
+    @settings(max_examples=200)
+    def test_nested_trees(self, tree):
+        assert streamed(tree) == render_json(tree)
+        assert json.loads(render_json(tree)) == tree
+
+    def test_pieces(self):
+        # One piece per float chunk and per run of ints, not one per entry.
+        tree = {"tally": {outcome_string(z, 10): z for z in range(1 << 10)},
+                "probabilities": np.full(FLOAT_CHUNK + 1, 0.5)}
+        sink = Pieces()
+        render_json(tree, sink)
+        # The tally's key, the tally, the array's key, two chunks, "]", "}".
+        assert len(sink.pieces) == 7
+        assert "".join(sink.pieces) == render_json(tree)
+
+    def test_non_finite_writes_nothing(self):
+        # The first bad leaf in render order is named, before any piece.
+        sink = Pieces()
+        tree = {"ok": {"a": 1}, "p": np.array([0.5, math.inf]), "q": math.nan}
+        with pytest.raises(ValueError, match="must not contain inf"):
+            render_json(tree, sink)
+        assert sink.pieces == []
