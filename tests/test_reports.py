@@ -134,7 +134,7 @@ class TestRenderJson:
 
     def test_streamed_peak_is_one_child(self):
         # Streamed, nothing outlives its piece: 12 tallies peak where 3 do.
-        tally = {outcome_string(z, 14): 1000 + z for z in range(1 << 14)}
+        tally = {outcome_string(z, 12): 1000 + z for z in range(1 << 12)}
         peaks = []
         for copies in (3, 12):
             tree = {"results": {"per_fidelity": [{"tally": tally}] * copies}}
