@@ -11,8 +11,8 @@ gate), `run` on random circuits, depolarize and both certificates,
 `sample` over a width x count grid next to the draw-order lookup it must
 not fall behind (tests/oracles.py), `mixture_distribution` by (w, m),
 `bound_chain` on a pure state by (w, k), `random_density_matrix`,
-`parse_circuit`, rendering the 10**6-draw tally report (to a string, and
-streamed into os.devnull), thm1's mixture
+`parse_circuit`, rendering the 10**6-draw tally report (its check walk
+alone, to a string, and streamed into os.devnull), thm1's mixture
 checksum (the hash alone, on a mixture built beforehand), and (full runs
 only) the tier-1 suite.  Right after each row, as many calls of a fixed
 reference that imports nothing from depolab are timed, and their median
@@ -64,7 +64,7 @@ from depolab import (  # noqa: E402
     serialize_circuit,
 )
 from depolab.cli import ExperimentConfig, _mixture_checksum, run_experiment  # noqa: E402
-from depolab.reports import render_json  # noqa: E402
+from depolab.reports import _check, render_json  # noqa: E402
 from depolab.statevector import _apply_gate_inplace  # noqa: E402
 from oracles import draw_order_sample  # noqa: E402
 
@@ -158,6 +158,7 @@ def cases(sizes: dict, workdir: Path):
         subcommand="depolarize", circuit_path=str(path), fidelity_grid=(0.25, 0.5, 0.9),
         seed=1, samples=count,
     ))
+    yield "reports._check", f"depolarize w={w} samples={count}", lambda: _check(report), 1, False
     yield "render_json", f"depolarize w={w} samples={count}", lambda: render_json(report), 1, False
     yield ("render_json", f"depolarize w={w} samples={count} to devnull",
            lambda: render_to_devnull(report), 1, False)

@@ -7,12 +7,13 @@ every float with 17 significant digits (enough to round-trip a double
 exactly), keeps dict insertion order, and indents with two spaces.   The
 output is plain JSON, loadable with json.loads.
 
-A report is rendered as a stream of text pieces that render_json(value,
-out) writes as they are made, so the peak is the report tree plus one
-piece.  A 1-D float64 array is one piece per FLOAT_CHUNK entries, each
-distinct value formatted once (probability vectors of Clifford+T circuits
-hold millions of entries but only a handful of distinct values), and a run
-of exact-int items in a dict (a tally) is one piece.
+A report tree holds None, bool, int, float and str leaves, dicts with str
+keys, lists, tuples and 1-D float64 arrays, every float finite.  _check
+refuses any other tree before the first piece, so a report is written whole
+or not at all, a piece at a time: a float array per FLOAT_CHUNK entries,
+each distinct value formatted once (Clifford+T probability vectors hold
+millions of entries but a handful of distinct values), and a run of
+exact-int dict items (a tally) as one piece.  The peak is the tree plus one.
 """
 
 from __future__ import annotations
@@ -53,24 +54,28 @@ def _render_floats(values: np.ndarray) -> Iterator[list[str]]:
         yield out.tolist()
 
 
-def _check_finite(value) -> None:
-    """Refuse the first non-finite float leaf in render order, as _render_float does."""
-    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-        if not np.isfinite(value).all():
-            _render_float(float(value[~np.isfinite(value)][0]))
-    elif isinstance(value, (float, np.floating)):
-        _render_float(float(value))
-    elif isinstance(value, (dict, list, tuple, np.ndarray)):
-        for item in value.values() if isinstance(value, dict) else value:
+def _check(value) -> None:
+    """The one refusal: raise at the first item, in render order, outside the tree language."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
             if type(item) is not int:  # tally counts: most leaves, never floats
-                _check_finite(item)
+                _check(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _check(item)
+    elif isinstance(value, float):
+        _render_float(value)
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
+        _check(value[~np.isfinite(value)][:1].tolist())  # its first non-finite entry
+    elif value is not None and not isinstance(value, (int, str)):  # bool is an int
+        raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
 def _pieces(value, indent: int) -> Iterator[str]:
-    """render_json's text of value, in pieces whose join is the whole text."""
+    """render_json's text of a tree _check accepted, in pieces."""
     pad, inner = "  " * indent, "  " * (indent + 1)
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        value = value.item()
     if value is None:
         yield "null"
     elif isinstance(value, bool):
@@ -81,13 +86,11 @@ def _pieces(value, indent: int) -> Iterator[str]:
         yield _render_float(value)
     elif isinstance(value, str):
         yield _quote(value)
-    elif isinstance(value, (dict, list, tuple, np.ndarray)) and not len(value):
+    elif not len(value):
         yield "{}" if isinstance(value, dict) else "[]"
     elif isinstance(value, dict):
         run, sep = [], "{\n"
         for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
             if type(item) is int:  # a run of exact ints (a tally) is one piece
                 run.append(f"{sep}{inner}{_quote(key)}: {item}")
             else:
@@ -96,25 +99,22 @@ def _pieces(value, indent: int) -> Iterator[str]:
                 yield from _pieces(item, indent + 1)
             sep = ",\n"
         yield "".join(run) + f"\n{pad}}}"
-    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
+    elif isinstance(value, np.ndarray):
         sep, head = ",\n" + inner, "[\n" + inner
         for texts in _render_floats(value):
             yield head + sep.join(texts)
             head = sep
         yield f"\n{pad}]"
-    elif isinstance(value, (list, tuple, np.ndarray)):
+    else:
         for i, item in enumerate(value):
             yield ("[\n" if i == 0 else ",\n") + inner
             yield from _pieces(item, indent + 1)
         yield f"\n{pad}]"
-    else:
-        raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
 def render_json(value, out=None) -> str | None:
-    """Render a report tree (dict/list/str/float/int/bool/None) as JSON: return
-    the text, or with out, hand it to out.writelines in pieces as it is
-    rendered.  A non-finite float anywhere raises before the first piece."""
-    _check_finite(value)
+    """Render a report tree (see above) as JSON: the text, or with out, its
+    pieces to out.writelines as they are made.  A bad tree raises first."""
+    _check(value)
     pieces = _pieces(value, 0)
     return "".join(pieces) if out is None else out.writelines(pieces)

@@ -40,8 +40,10 @@ def test_quick_run_schema(tmp_path):
     layers = {layer for layer, _ in cases}
     assert {"run", "mixture_distribution", "mixture_checksum", "bound_chain", "parse_circuit",
             "render_json"} <= layers
-    # Rendering is timed to a string and streamed into a file.
+    # Rendering is timed to a string and streamed into a file, and the
+    # check walk that precedes both is timed alone.
     assert {"depolarize w=8 samples=10000", "depolarize w=8 samples=10000 to devnull"} == {
         case for layer, case in cases if layer == "render_json"}
+    assert ("reports._check", "depolarize w=8 samples=10000") in cases
     # The kernel table is printed for logs.
     assert "kernel" in proc.stdout and "CNOT w=10" in proc.stdout

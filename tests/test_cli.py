@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -372,6 +373,21 @@ class TestErrorPaths:
         assert old.read_bytes() == b'{"kept": 1}\n'
         assert not missing.exists()
 
+    def test_bad_key_leaves_out_file_alone(self, monkeypatch, tmp_path, bell_path):
+        # A non-str key is a bug in the report, not a usage error: it
+        # raises, and like a non-finite float it is found before --out is
+        # opened, although the floats before it would already render.
+        report = {"version": __version__, "passed": True,
+                  "results": {"p": np.array([0.5, 0.5]), "tally": {"0": 3, 1: 2}}}
+        monkeypatch.setattr(depolab.cli, "run_experiment", lambda config: report)
+        old, missing = tmp_path / "old.json", tmp_path / "missing.json"
+        old.write_bytes(b'{"kept": 1}\n')
+        for out in (old, missing):
+            with pytest.raises(TypeError, match="report keys must be strings, got 1"):
+                main(["simulate", "--circuit", bell_path, "--out", str(out)])
+        assert old.read_bytes() == b'{"kept": 1}\n'
+        assert not missing.exists()
+
     def test_bad_flag_exits_two(self, bell_path):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--circuit", bell_path, "--fidelity", "abc"])
@@ -555,6 +571,29 @@ class TestEndToEnd:
         assert main(["simulate", "--circuit", bell_path]) == 0
         wall = capsys.readouterr().err.split("# wall time: ")[1].split()[0]
         assert float(wall) >= 0.2
+
+    def test_perfbench_tracing_seam(self, tmp_path):
+        # perfbench/traced_main.py wraps the functions cli imported, among
+        # them render_json, which main must call by its module-level name;
+        # a report rendered past the seam would leave the counts at 0.
+        trace, out = tmp_path / "trace.json", tmp_path / "report.json"
+        argv = ["depolarize", "--circuit", str(ROOT / "circuits" / "bell.qc"),
+                "--fidelity", "0.5", "--samples", "100", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "traced_main.py"), str(trace), "--", *argv],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        metrics = json.loads(trace.read_text(encoding="utf-8"))["metrics"]
+        # Four probabilities, the fidelity, empirical_tv and the config's
+        # fidelity_grid and epsilon; one outcome string per tallied outcome.
+        assert metrics["reports.floats_rendered"] == 8
+        assert metrics["circuits.outcome_string_calls"] == 4
+        traced = out.read_bytes()
+        with redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        assert out.read_bytes() == traced
 
 
 # Whole command lines: a subcommand (or an unknown one), some of the flags

@@ -92,19 +92,29 @@ class TestRenderJson:
         as_lists = {"probabilities": list(arr), "nested": [list(arr), {"x": list(arr)}]}
         assert render_json(tree) == render_json(as_lists)
 
-    def test_other_arrays_take_the_generic_path(self):
-        assert render_json(np.array([1, 2])) == "[\n  1,\n  2\n]"
-        assert render_json(np.array([0.5], dtype=np.float32)) == "[\n  0.5\n]"
+    @pytest.mark.parametrize("arr", [np.array([1, 2]), np.array([0.5], dtype=np.float32),
+                                     np.zeros((2, 2)), np.array(0.5)],
+                             ids=["int64", "float32", "2-d", "0-d"])
+    def test_other_arrays_are_refused(self, arr):
+        # Only 1-D float64 arrays are in the report language.
+        sink = Pieces()
+        with pytest.raises(TypeError, match="cannot render ndarray in a report"):
+            render_json({"p": arr}, sink)
+        assert sink.pieces == []
 
     @given(int_trees)
     @settings(max_examples=200)
     def test_int_trees_render_like_stock_json(self, tree):
         assert render_json(tree) == json.dumps(tree, indent=2)
 
-    def test_bools_and_numpy_ints_in_dicts(self):
+    def test_bools_in_dicts_and_numpy_scalars_refused(self):
         assert render_json({"a": True, "b": False}) == '{\n  "a": true,\n  "b": false\n}'
-        big = np.int64(-(2**63))
-        assert render_json({"n": np.int64(7), "m": big}) == render_json({"n": 7, "m": int(big)})
+        # numpy ints and bools are not ints: a report holds Python scalars.
+        for scalar in (np.int64(7), np.bool_(True)):
+            sink = Pieces()
+            with pytest.raises(TypeError, match=f"cannot render {type(scalar).__name__}"):
+                render_json({"a": True, "n": scalar}, sink)
+            assert sink.pieces == []
 
     def test_str_subclass_key_renders_like_str(self):
         class Key(str):
@@ -186,10 +196,21 @@ class TestStreamed:
         assert len(sink.pieces) == 7
         assert "".join(sink.pieces) == render_json(tree)
 
-    def test_non_finite_writes_nothing(self):
-        # The first bad leaf in render order is named, before any piece.
+    @pytest.mark.parametrize("bad, error, message", [
+        (math.nan, ValueError, "reports must not contain nan"),
+        (np.array([0.5, math.inf, math.nan]), ValueError, "reports must not contain inf"),
+        ({"tally": {"00": 3, 1: 2}}, TypeError, "report keys must be strings, got 1"),
+        (1j, TypeError, "cannot render complex in a report"),
+        (np.int64(3), TypeError, "cannot render int64 in a report"),
+        (np.zeros((2, 2)), TypeError, "cannot render ndarray in a report"),
+    ], ids=["nan", "inf-entry", "int-key", "complex", "int64", "2d-array"])
+    def test_bad_tree_writes_nothing(self, bad, error, message):
+        # The bad item comes after a float array that would already have
+        # been written; the first bad item in render order is named, and
+        # nothing reaches the sink.
         sink = Pieces()
-        tree = {"ok": {"a": 1}, "p": np.array([0.5, math.inf]), "q": math.nan}
-        with pytest.raises(ValueError, match="must not contain inf"):
+        tree = {"ok": {"a": 1}, "p": np.array([0.5, 0.25]), "bad": [bad], "q": math.nan}
+        with pytest.raises(error) as got:
             render_json(tree, sink)
+        assert str(got.value) == message
         assert sink.pieces == []
