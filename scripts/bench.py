@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time each layer of depolab in-process and write the timings as JSON.
 
-    python scripts/bench.py --out BENCH_2.json --compare BENCH_1.json
+    python scripts/bench.py --out BENCH_2.json
     python scripts/bench.py --quick --out bench.json
 
 Every row is the median wall time of 5 calls in this interpreter, after
@@ -14,14 +14,12 @@ not fall behind (tests/oracles.py), `mixture_distribution` by (w, m),
 `parse_circuit`, rendering the 10**6-draw tally report (its check walk
 alone, to a string, and streamed into os.devnull), thm1's mixture
 checksum (the hash alone, on a mixture built beforehand), and (full runs
-only) the tier-1 suite.  Right after each row, as many calls of a fixed
-reference that imports nothing from depolab are timed, and their median
-is stored as the row's ref_s: median_s / ref_s follows the code rather
-than how fast the host runs right now.  --compare prints that
-ratio's change next to the raw one, when the older file has ref_s.  The
-file also records the Python and numpy versions, the core count, the src
-line count and the git commit.  --quick runs the same rows at small sizes
-in a few seconds.
+only) the tier-1 suite.  Rows hold raw medians: the host's speed drifts,
+so a row moves between two files as far as between two runs of one
+tree, and only rows timed in one run (`sample` next to
+`sample_draw_order`) compare closely.  The file also records the Python
+and numpy versions, the core count, the src line count and the git
+commit.  --quick runs the same rows at small sizes in a few seconds.
 
 These are in-process layer times.  perfbench/run.py measures something
 else: whole CLI runs, one fresh interpreter each, scaled by a reference
@@ -68,7 +66,7 @@ from depolab.reports import _check, render_json  # noqa: E402
 from depolab.statevector import _apply_gate_inplace  # noqa: E402
 from oracles import draw_order_sample  # noqa: E402
 
-SCHEMA = "depolab-bench/2"
+SCHEMA = "depolab-bench/3"
 KINDS = ("H", "S", "T", "X", "I1", "CNOT")
 FULL = {
     "run": (16, 20, 22),
@@ -183,21 +181,6 @@ def render_to_devnull(report) -> None:
         render_json(report, handle)
 
 
-def reference_work():
-    """The reference: a 2**20 complex multiply into a preallocated buffer
-    plus a sort of 2**18 floats, numpy work of the kind most rows time."""
-    gen = rng(0)
-    amps = gen.standard_normal(1 << 20) * (1.0 + 1.0j)
-    out = np.empty_like(amps)
-    keys = gen.random(1 << 18)
-
-    def work():
-        np.multiply(amps, 0.5 - 0.5j, out=out)
-        np.sort(keys)
-
-    return work
-
-
 def median_seconds(fn, calls: int, repeats: int, warm_up: bool) -> float:
     if warm_up:  # first-touch pages and caches; too dear for the heavy rows
         fn()
@@ -210,11 +193,14 @@ def median_seconds(fn, calls: int, repeats: int, warm_up: bool) -> float:
 
 
 def suite_seconds() -> float:
-    """One run of the tier-1 suite in a child interpreter."""
+    """One run of the tier-1 suite in a child interpreter, less the check
+    of the newest BENCH file: after a change to src it fails until this
+    run has written the next one."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+         "--deselect", "tests/test_bench.py::test_newest_bench_file_matches_src"],
         cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL,
     )
     return time.perf_counter() - start
@@ -249,30 +235,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="small sizes, no suite run")
     parser.add_argument("--out", help="write the JSON here")
-    parser.add_argument("--compare", help="an earlier bench JSON to print ratios against")
     args = parser.parse_args()
     repeats = 1 if args.quick else REPEATS
-    previous = {}
-    if args.compare:
-        rows = json.loads(Path(args.compare).read_text(encoding="utf-8"))["rows"]
-        previous = {(r["layer"], r["case"]): r for r in rows}
-
     rows = []
-    reference = reference_work()
 
     def record(layer: str, case: str, median: float, runs: int) -> None:
-        # Timed after the row, not between its calls, because the
-        # reference's 36 MiB of arrays would evict the caches that the
-        # small rows run in.
-        ref = median_seconds(reference, 1, runs, True)
-        rows.append({"layer": layer, "case": case, "median_s": median, "ref_s": ref, "runs": runs})
-        line = f"{layer:<27} {case:<26} {median * 1e3:>11.3f} ms"
-        before = previous.get((layer, case))
-        if before and before["median_s"]:
-            line += f"   was {before['median_s'] * 1e3:>11.3f} ms  x{median / before['median_s']:.2f}"
-            if before.get("ref_s"):
-                line += f"  per ref x{median / ref / (before['median_s'] / before['ref_s']):.2f}"
-        print(line, flush=True)
+        rows.append({"layer": layer, "case": case, "median_s": median, "runs": runs})
+        print(f"{layer:<27} {case:<26} {median * 1e3:>11.3f} ms", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         for layer, case, fn, calls, heavy in cases(QUICK if args.quick else FULL, Path(tmp)):

@@ -9,7 +9,7 @@ depolarization, and evaluates how little k copies help in distinguishing
 the depolarized state from pure noise.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.10.1"
 
 from .circuits import (
     Circuit,

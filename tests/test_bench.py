@@ -1,5 +1,7 @@
-"""Smoke test of scripts/bench.py: its quick run writes the documented schema."""
+"""Smoke test of scripts/bench.py: its quick run writes the documented
+schema, and the newest committed BENCH file was written by it for today's src."""
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -7,27 +9,39 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench.py"
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_bench(*args):
+    # pyproject's warning filter does not reach a child interpreter.
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(SCRIPT), *args],
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_quick_run_schema(tmp_path):
     out = tmp_path / "bench.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--quick", "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_bench("--quick", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     bench = json.loads(out.read_text(encoding="utf-8"))
-    assert bench["schema"] == "depolab-bench/2"
+    assert bench["schema"] == "depolab-bench/3"
     env = bench["environment"]
     assert env["quick"] is True and env["repeats"] == 1
     assert env["cores"] >= 1 and env["src_lines"] > 0
     for key in ("depolab", "python", "numpy", "machine", "git_sha", "git_dirty"):
         assert key in env
     for row in bench["rows"]:
-        assert set(row) == {"layer", "case", "median_s", "ref_s", "runs"}
+        # One raw median per row, with no host-speed reference beside it.
+        assert set(row) == {"layer", "case", "median_s", "runs"}
         assert math.isfinite(row["median_s"]) and row["median_s"] >= 0 and row["runs"] >= 1
-        # The reference's time, the divisor of a host-independent ratio.
-        assert math.isfinite(row["ref_s"]) and row["ref_s"] > 0
     cases = {(row["layer"], row["case"]) for row in bench["rows"]}
     assert len(cases) == len(bench["rows"])
     kinds = {case.split()[0] for layer, case in cases if layer == "kernel"}
@@ -47,3 +61,20 @@ def test_quick_run_schema(tmp_path):
     assert ("reports._check", "depolarize w=8 samples=10000") in cases
     # The kernel table is printed for logs.
     assert "kernel" in proc.stdout and "CNOT w=10" in proc.stdout
+
+
+def test_compare_is_gone():
+    proc = run_bench("--compare", "BENCH_1.json")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --compare" in proc.stderr
+
+
+def test_newest_bench_file_matches_src():
+    """A change to src writes the next BENCH file with a full run."""
+    newest = max(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    bench = json.loads(newest.read_text(encoding="utf-8"))
+    assert bench["schema"] == load_bench().SCHEMA, newest.name
+    assert bench["environment"]["quick"] is False, newest.name
+    src = sorted((ROOT / "src" / "depolab").glob("*.py"))
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src)
+    assert bench["environment"]["src_lines"] == lines, newest.name

@@ -171,6 +171,14 @@ class TestCertify:
         assert "skipped" in entry["multiplicative"]
         assert entry["additive"]["passed"] is True
 
+    def test_tiny_fidelity_passes(self, capsys):
+        # The exact sum is 9e-17; forming p' rounds it to 1.39e-16, past
+        # 2F = 1.2e-16 but inside the round-off allowance.
+        argv = ["certify", "--circuit", str(ROOT / "circuits" / "ghz.qc"), "--fidelity", "6e-17"]
+        code, report = run_cli(capsys, argv)
+        assert code == 0
+        assert report["results"]["per_fidelity"][0]["additive"]["passed"] is True
+
     def test_pinned_report(self, pinned_path):
         # Pinned at v0.10.0: both certificates, and the skipped one above 1/2.
         config = ExperimentConfig(

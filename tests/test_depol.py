@@ -17,11 +17,13 @@ from depolab import (
 )
 from depolab.depol import SAMPLE_CAP
 from oracles import brute_additive_l1, brute_mult_worst, draw_order_sample
-from strategies import distributions, fidelities, low_fidelities, seeds
+from strategies import circuits, distributions, fidelities, low_fidelities, seeds
 
 point2 = Distribution(2, np.array([1.0, 0.0, 0.0, 0.0]))
 bell_dist = Distribution(2, np.array([0.5, 0.0, 0.0, 0.5]))
 uniform3 = Distribution(3, np.full(8, 0.125))
+# Log-uniform from 1e-20 to 1: below about 1e-14 forming p' rounds by as much as 2F.
+tiny_to_one = st.floats(min_value=-20.0, max_value=0.0).map(lambda e: 10.0**e)
 
 
 @st.composite
@@ -183,6 +185,15 @@ class TestAdditiveCertificate:
     @given(distributions(), fidelities)
     def test_always_passes(self, dist, f):
         assert additive_certificate(dist, f).passed
+
+    @given(circuits(max_width=10, max_gates=30), tiny_to_one)
+    @settings(max_examples=300)
+    def test_circuit_outputs_pass_at_every_scale(self, circuit, f):
+        # Both certificates hold exactly; forming p' must not break them.
+        dist = output_distribution(circuit)
+        assert additive_certificate(dist, f).passed
+        if f <= 0.5:
+            assert multiplicative_certificate(dist, f).passed
 
     @given(distributions(), fidelities)
     def test_identity_route_agrees(self, dist, f):
