@@ -13,10 +13,10 @@ not fall behind (tests/oracles.py), `mixture_distribution` by (w, m),
 `bound_chain` on a pure state by (w, k), `random_density_matrix`,
 `parse_circuit`, rendering the 10**6-draw tally report (its check walk
 alone, to a string, and streamed into os.devnull), thm1's mixture
-checksum (the hash alone, on a mixture built beforehand), and (full runs
-only) the tier-1 suite.  Rows hold raw medians: the host's speed drifts,
-so a row moves between two files as far as between two runs of one
-tree, and only rows timed in one run (`sample` next to
+checksum (streamed from the circuit, so the mixture's work is in it),
+and (full runs only) the tier-1 suite.  Rows hold raw medians: the
+host's speed drifts, so a row moves between two files as far as between
+two runs of one tree, and only rows timed in one run (`sample` next to
 `sample_draw_order`) compare closely.  The file also records the Python
 and numpy versions, the core count, the src line count and the git
 commit.  --quick runs the same rows at small sizes in a few seconds.
@@ -171,8 +171,8 @@ def cases(sizes: dict, workdir: Path):
         rc = RandomizedCircuit(random_circuit(w, m, rng(w + m)))
         yield "mixture_distribution", f"w={w} m={m}", lambda r=rc: mixture_distribution(r), 1, w + m >= 24
     w, m = sizes["checksum"]
-    mix = mixture_distribution(RandomizedCircuit(random_circuit(w, m, rng(w + m))))
-    yield "mixture_checksum", f"w={w} m={m}", lambda: _mixture_checksum(mix), 1, False
+    rc = RandomizedCircuit(random_circuit(w, m, rng(w + m)))
+    yield "mixture_checksum", f"w={w} m={m}", lambda: _mixture_checksum(rc), 1, False
 
 
 def render_to_devnull(report) -> None:

@@ -31,8 +31,8 @@ from . import __version__
 from .circuits import outcome_string, parse_circuit
 from .construction import (
     RandomizedCircuit,
+    _mixture_rows,
     depolarized_acceptance,
-    mixture_distribution,
     sbp_thresholds,
 )
 from .depol import (
@@ -136,10 +136,14 @@ def _run_certify(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
     return results, all_passed
 
 
-def _mixture_checksum(mix) -> str:
-    """sha256 of the mixture's little-endian float64 bytes: exact on every
-    platform, and -0 hashes apart from 0 (Distribution refuses NaN)."""
-    return hashlib.sha256(mix.probs.astype("<f8", copy=False)).hexdigest()
+def _mixture_checksum(rc: RandomizedCircuit) -> str:
+    """sha256 of the mixture's little-endian float64 bytes, fed a block at a
+    time: exact on every platform, and -0 hashes apart from 0 (the stream's
+    sum check refuses NaN)."""
+    digest = hashlib.sha256()
+    for block in _mixture_rows(rc):
+        digest.update(block.astype("<f8", copy=False))
+    return digest.hexdigest()
 
 
 def _run_thm1(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
@@ -150,7 +154,7 @@ def _run_thm1(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
         for f in config.fidelity_grid
     ]
     try:
-        checksum = _mixture_checksum(mixture_distribution(rc))
+        checksum = _mixture_checksum(rc)
     except CapExceeded:
         checksum = None
     results = {

@@ -39,18 +39,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .circuits import Circuit, Gate
 from .depol import check_fidelity, check_positive_int
 from .errors import CapExceeded
-from .statevector import WIDTH_CAP, Distribution, _apply_gate_inplace
+from .statevector import WIDTH_CAP, Distribution, _apply_gate_inplace, _check_unit, _squared_abs
+from .tolerances import EXACT_TOL
 
 # Exact branch enumeration walks all 2**m ancilla strings; past this it is
 # no longer a desk-scale computation.
 BRANCH_CAP = 20
+
+# Branch rows advance this many amplitudes at a time (1 MiB of complex128),
+# so the kernel's scratch and the mixture's stream stay this small.
+_BLOCK_AMPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,15 +87,20 @@ class RandomizedCircuit:
         return self.main_width + self.ancilla_width
 
 
-def mixture_distribution(rc: RandomizedCircuit) -> Distribution:
-    """Exact outcome distribution of the randomized circuit.
+def _mixture_rows(rc: RandomizedCircuit) -> Iterator[np.ndarray]:
+    """The mixture's float64 probabilities in index order, a block at a time.
 
-    Full-register outcome index: main-register bits are low, ancilla j is
-    bit main_width + j.  Row alpha of one (2**m, 2**w) buffer ends as the
-    state of branch string alpha: step j copies rows [0, 2**j) into
-    [2**j, 2**(j+1)), then applies the intended gate to the first block and
-    the alternate to the copy.  That is one gate application per (step,
-    branch prefix) rather than a fresh simulation per branch.
+    Main-register bits are low and ancilla j is bit main_width + j, so row
+    alpha of the (2**m, 2**w) mixture is the state of branch string alpha.
+    Steps j < m-1 double a buffer of 2**(m-1) rows: rows [0, 2**j) are
+    copied into [2**j, 2**(j+1)), then the intended gate goes to the first
+    half and the alternate to the copy.  Ancilla m-1 is the top bit, so the
+    output is the last intended gate on the held rows, then its alternate:
+    each block is copied, advanced and squared, and the held rows are not
+    written.  Gates go in blocks of at most _BLOCK_AMPS amplitudes (at
+    least one row), so the kernel's scratch does not grow with the batch.
+    The caps are checked before anything is allocated, and the sum within
+    EXACT_TOL after the last block.
     """
     w, m = rc.main_width, rc.ancilla_width
     need = f"2**{w + m + 4} bytes of amplitudes"
@@ -98,19 +108,37 @@ def mixture_distribution(rc: RandomizedCircuit) -> Distribution:
         raise CapExceeded(f"{m} steps means 2**{m} branches, {need}; the cap is {BRANCH_CAP}")
     if w + m > WIDTH_CAP:
         raise CapExceeded(f"total width {w + m} exceeds the cap of {WIDTH_CAP} qubits ({need})")
-    states = np.zeros((1 << m, 1 << w), dtype=np.complex128)
-    states[0, 0] = 1.0
-    for j, (primary, alternate) in enumerate(rc.steps):
-        states[1 << j : 2 << j] = states[: 1 << j]
-        _apply_gate_inplace(states[: 1 << j], primary, w)
-        _apply_gate_inplace(states[1 << j : 2 << j], alternate, w)
-    # In place, so this stage holds the amplitudes plus one float64 array;
-    # the values are bit-identical to np.abs(states) ** 2 / 2**m.
-    probs = np.abs(states).ravel()
-    del states
-    np.square(probs, out=probs)
-    probs /= 1 << m
-    return Distribution(w + m, probs)
+    rows = max(1, _BLOCK_AMPS >> w)
+    held = np.zeros((1 << max(m - 1, 0), 1 << w), dtype=np.complex128)
+    held[0, 0] = 1.0
+    for j, (primary, alternate) in enumerate(rc.steps[:-1]):
+        half = 1 << j
+        held[half : 2 * half] = held[:half]
+        for gate, first in ((primary, 0), (alternate, half)):
+            for start in range(first, first + half, rows):
+                _apply_gate_inplace(held[start : min(start + rows, first + half)], gate, w)
+    # With m = 0 there is no last step: the one held row is the mixture.
+    total = 0.0
+    for gate in rc.steps[-1] if m else (Gate("I1", (0,)),):
+        for start in range(0, len(held), rows):
+            block = held[start : start + rows].copy()
+            _apply_gate_inplace(block, gate, w)
+            probs = _squared_abs(block).ravel()
+            del block
+            probs /= 1 << m
+            total += float(probs.sum())
+            yield probs
+    _check_unit("probability sum", total, EXACT_TOL)
+
+
+def mixture_distribution(rc: RandomizedCircuit) -> Distribution:
+    """Exact outcome distribution of the randomized circuit, joined from
+    _mixture_rows: one gate application per (step, branch prefix) rather
+    than a fresh simulation per branch.  At its peak it holds two copies of
+    the 2**(w+m) probabilities, or the first m-1 steps' 2**(w+m-1)
+    amplitudes and one copy.
+    """
+    return Distribution(rc.total_width, np.concatenate(list(_mixture_rows(rc))))
 
 
 def depolarized_acceptance(rc: RandomizedCircuit, q: float, fidelity: float) -> float:

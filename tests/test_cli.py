@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 import depolab.cli
+import depolab.construction
 import depolab.statevector
 from depolab import (
     RandomizedCircuit,
@@ -25,6 +27,7 @@ from depolab import (
     serialize_circuit,
 )
 from depolab.cli import ExperimentConfig, _mixture_checksum, main, run_experiment
+from depolab.construction import _BLOCK_AMPS
 from depolab.depol import SAMPLE_CAP
 from depolab.reports import render_json
 from oracles import brute_checksum
@@ -240,13 +243,43 @@ class TestThm1:
 
 
 class TestMixtureChecksum:
-    # (w, gates): the last has 2**17 probabilities.
+    # (w, gates): (5, 12) has 2**17 probabilities, m = 0 has no last step,
+    # m = 1 no doubling, and a (17, 2) branch row is past _BLOCK_AMPS.
     @pytest.mark.parametrize("key", range(4))
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (3, 8), (5, 12)])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (3, 8), (5, 12), (3, 0), (2, 1), (17, 2)])
     def test_matches_naive_oracle(self, key, shape):
         rng = np.random.Generator(np.random.Philox(key=key))
-        mix = mixture_distribution(RandomizedCircuit(random_circuit(*shape, rng)))
-        assert _mixture_checksum(mix) == brute_checksum(mix.probs)
+        rc = RandomizedCircuit(random_circuit(*shape, rng))
+        assert _mixture_checksum(rc) == brute_checksum(mixture_distribution(rc).probs)
+
+    def test_peak_memory_is_half_the_branches(self):
+        # The held 2**(w+m-1) amplitudes, plus one block's copy, H's two
+        # halves of scratch and float64 output, and the previous output.
+        w, m = 6, 14
+        rc = RandomizedCircuit(random_circuit(w, m, np.random.Generator(np.random.Philox(key=3))))
+        tracemalloc.start()
+        try:
+            _mixture_checksum(rc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << (w + m - 1)) * 16 + 48 * _BLOCK_AMPS
+
+    def test_sum_is_checked_on_both_routes(self, monkeypatch):
+        # A kernel that grows every amplitude by 1e-6 breaks the unit sum
+        # far past EXACT_TOL: the stream refuses it as Distribution does.
+        real = depolab.construction._apply_gate_inplace
+
+        def drifting(amps, gate, width):
+            real(amps, gate, width)
+            amps *= 1 + 1e-6
+
+        monkeypatch.setattr(depolab.construction, "_apply_gate_inplace", drifting)
+        rc = RandomizedCircuit(random_circuit(3, 6, np.random.Generator(np.random.Philox(key=1))))
+        with pytest.raises(ValueError, match="probability sum"):
+            mixture_distribution(rc)
+        with pytest.raises(ValueError, match="probability sum"):
+            _mixture_checksum(rc)
 
 
 class TestSbpGap:

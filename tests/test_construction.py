@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import depolab.construction
 from depolab import (
     CapExceeded,
     Circuit,
@@ -13,6 +14,7 @@ from depolab import (
     hardness_gap,
     mixture_distribution,
     parse_circuit,
+    random_circuit,
     sbp_thresholds,
     zero_overlap,
 )
@@ -90,6 +92,17 @@ class TestMixture:
         q = abs(zero_overlap(circuit)) ** 2
         mix = mixture_distribution(rc)
         assert abs(mix.probs[0] - q / (1 << rc.ancilla_width)) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("shape", [(1, 9), (4, 8), (12, 3)])
+    def test_block_size_leaves_every_bit(self, monkeypatch, rows, shape):
+        # Blocks of 1, 3 or 7 branch rows, so blocks straddle the halves of
+        # a doubling step, give the bytes of the default block size.
+        rng = np.random.Generator(np.random.Philox(key=rows))
+        rc = RandomizedCircuit(random_circuit(*shape, rng))
+        whole = mixture_distribution(rc).probs
+        monkeypatch.setattr(depolab.construction, "_BLOCK_AMPS", rows << shape[0])
+        assert mixture_distribution(rc).probs.tobytes() == whole.tobytes()
 
     def test_branch_cap(self):
         wide = Circuit(1, tuple(H0 for _ in range(21)))

@@ -75,9 +75,9 @@ class TestApplyGate:
         "gate", [Gate("H", (3,)), Gate("X", (3,)), Gate("CNOT", (0, 3)), Gate("T", (3,))]
     )
     def test_scratch_is_at_most_two_halves(self, gate):
-        # Peak memory of mixture_distribution is its batch plus the larger
-        # of the kernel's scratch and one float64 copy: no kind may need
-        # more than two halves, or the peak would hang on the last gate.
+        # The mixture stream hands the kernel blocks of at most _BLOCK_AMPS
+        # amplitudes, and its memory bound allows two halves of a block for
+        # scratch next to the held rows: no kind may need more.
         # numpy's strided loops add buffers of a fixed size on top.
         amps = np.zeros((64, 1 << 12), dtype=np.complex128)
         tracemalloc.start()
