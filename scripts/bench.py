@@ -11,10 +11,11 @@ gate), `run` on random circuits, depolarize and both certificates,
 `sample` over a width x count grid next to the draw-order lookup it must
 not fall behind (tests/oracles.py), `mixture_distribution` by (w, m),
 `bound_chain` on a pure state by (w, k), `random_density_matrix`,
-`parse_circuit`, rendering the 10**6-draw tally report (its check walk
-alone, to a string, and streamed into os.devnull), thm1's mixture
-checksum (streamed from the circuit, so the mixture's work is in it),
-and (full runs only) the tier-1 suite.  Rows hold raw medians: the
+`parse_circuit`, the depolarize route on a 3-fidelity grid with 10**6
+draws (`run_experiment`: one draw set, tallies and their names), rendering
+its report (the check walk alone, to a string, and streamed into
+os.devnull), thm1's mixture checksum (streamed from the circuit, so the
+mixture's work is in it), and (full runs only) the tier-1 suite.  Rows hold raw medians: the
 host's speed drifts, so a row moves between two files as far as between
 two runs of one tree, and only rows timed in one run (`sample` next to
 `sample_draw_order`) compare closely.  The file also records the Python
@@ -152,10 +153,12 @@ def cases(sizes: dict, workdir: Path):
         "\n".join([f"qubits {w}", *(f"H {q}" for q in range(w)),
                    *(f"CNOT {q} {q + 1}" for q in range(0, w - 1, 2))]) + "\n"
     )
-    report = run_experiment(ExperimentConfig(
+    config = ExperimentConfig(
         subcommand="depolarize", circuit_path=str(path), fidelity_grid=(0.25, 0.5, 0.9),
         seed=1, samples=count,
-    ))
+    )
+    yield "depolarize_grid", f"w={w} 3 fidelities samples={count}", lambda: run_experiment(config), 1, False
+    report = run_experiment(config)
     yield "reports._check", f"depolarize w={w} samples={count}", lambda: _check(report), 1, False
     yield "render_json", f"depolarize w={w} samples={count}", lambda: render_json(report), 1, False
     yield ("render_json", f"depolarize w={w} samples={count} to devnull",

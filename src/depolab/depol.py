@@ -106,32 +106,42 @@ def sample(dist: Distribution, seed: int, count: int) -> dict[int, int]:
 
     Only outcomes that occurred appear as keys.  Deterministic in (seed,
     dist, count).  Draws are looked up in sorted order: a tally ignores order.
-    Fewer draws than outcomes are searched into the CDF, and otherwise the
-    CDF into the draws: one binary search per entry of the shorter array.
     """
+    outcomes, tallies = _tally_sorted(dist, _sorted_draws(seed, count))
+    return dict(zip(outcomes.tolist(), tallies.tolist()))
+
+
+def _sorted_draws(seed: int, count: int) -> np.ndarray:
+    """`count` sorted uniforms of the Philox stream keyed by `seed`; the seed,
+    the count and SAMPLE_CAP are checked before anything is drawn."""
     check_seed(seed)
     count = check_positive_int("count", count)
     if count > SAMPLE_CAP:
         raise CapExceeded(
             f"{count} draws need {8 * count} bytes; the cap is {SAMPLE_CAP} draws"
         )
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random(count)
+    u = np.random.Generator(np.random.Philox(key=seed)).random(count)
     u.sort()
+    return u
+
+
+def _tally_sorted(dist: Distribution, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(outcomes drawn, ascending; their tallies) of sorted draws u: one
+    binary search per entry of the shorter of u and the CDF, into the other."""
     cdf = np.cumsum(dist.probs)
     # cdf[-1] can round to just below 1; fold the sliver into the last
     # outcome that has probability.
     last = np.flatnonzero(dist.probs)[-1]
-    if count < len(cdf):
+    if len(u) < len(cdf):
         drawn = np.searchsorted(cdf, u, side="right")
         tallies = np.bincount(np.minimum(drawn, last, out=drawn))
     else:
         # below[z] counts the draws on outcomes 0..z.
         below = np.searchsorted(u, cdf)
-        below[last:] = count
+        below[last:] = len(u)
         tallies = np.diff(below, prepend=0)
     outcomes = np.flatnonzero(tallies)
-    return dict(zip(outcomes.tolist(), tallies[outcomes].tolist()))
+    return outcomes, tallies[outcomes]
 
 
 def additive_certificate(dist: Distribution, fidelity: float) -> CertificateReport:
@@ -194,15 +204,25 @@ def multiplicative_certificate(dist: Distribution, fidelity: float) -> Certifica
 
 def empirical_tv(counts: dict[int, int], dist: Distribution) -> float:
     """Total-variation distance between a tally's frequencies and dist."""
-    total = sum(counts.values())
+    try:
+        outcomes, tallies = np.array(list(counts.items()), np.int64).reshape(-1, 2).T
+    except OverflowError:
+        raise ValueError("tally outcomes and counts must fit in int64") from None
+    return _tally_tv(outcomes, tallies, dist)
+
+
+def _tally_tv(outcomes: np.ndarray, tallies: np.ndarray, dist: Distribution) -> float:
+    """empirical_tv of a tally as int64 arrays: tallies[i] draws of outcomes[i]."""
+    total = tallies.sum(dtype=np.float64)  # exact below 2**53: c / total rounds once
     if total < 1:
         raise ValueError("counts must contain at least one draw")
     size = 1 << dist.width
-    freq = np.zeros(size)
-    for z, c in counts.items():
+    bad = (outcomes < 0) | (outcomes >= size) | (tallies < 0)
+    if bad.any():  # name the first bad item, as a loop over the tally would
+        z = int(outcomes[bad.argmax()])
         if not 0 <= z < size:
             raise ValueError(f"outcome {z} out of range for width {dist.width}")
-        if c < 0:
-            raise ValueError(f"negative tally for outcome {z}")
-        freq[z] = c / total
+        raise ValueError(f"negative tally for outcome {z}")
+    freq = np.zeros(size)
+    freq[outcomes] = tallies / total
     return 0.5 * float(np.abs(freq - dist.probs).sum())

@@ -12,8 +12,8 @@ keys, lists, tuples and 1-D float64 arrays, every float finite.  _check
 refuses any other tree before the first piece, so a report is written whole
 or not at all, a piece at a time: a float array per FLOAT_CHUNK entries,
 each distinct value formatted once (Clifford+T probability vectors hold
-millions of entries but a handful of distinct values), and a run of
-exact-int dict items (a tally) as one piece.  The peak is the tree plus one.
+millions of entries but a handful of distinct values), and a tally (a run
+of exact-int dict items) per INT_RUN items.  The peak is the tree plus one.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ def _render_float(x: float) -> str:
 # calls cost nothing, small enough that the chunk's index and text arrays
 # stay far below the size of the values themselves.
 FLOAT_CHUNK = 1 << 16
+INT_RUN = 1 << 12  # items per piece of a run of exact-int dict items (a tally)
 
 
 def _render_floats(values: np.ndarray) -> Iterator[list[str]]:
@@ -91,8 +92,11 @@ def _pieces(value, indent: int) -> Iterator[str]:
     elif isinstance(value, dict):
         run, sep = [], "{\n"
         for key, item in value.items():
-            if type(item) is int:  # a run of exact ints (a tally) is one piece
+            if type(item) is int:  # a run of exact ints (a tally): a piece per INT_RUN
                 run.append(f"{sep}{inner}{_quote(key)}: {item}")
+                if len(run) == INT_RUN:
+                    yield "".join(run)
+                    run = []
             else:
                 yield "".join(run) + f"{sep}{inner}{_quote(key)}: "
                 run = []

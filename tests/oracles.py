@@ -6,13 +6,15 @@ explicit Kronecker products, per-branch enumeration, plain-Python loops
 over outcomes, a grid search over single-qubit measurements, dense
 k-copy tensor powers measured with an explicit projector, the generic
 2x2 gate kernel the package's kind-specialised one must match bit for
-bit, a checksum that packs every float on its own, and inverse-CDF
-sampling that looks up each draw in the order it was drawn.
+bit, a checksum that packs every float on its own, inverse-CDF sampling
+that looks up each draw in the order it was drawn, and a tally's total
+variation summed one outcome at a time.
 
 The last section holds helpers that only the tests need, built on the
 package's public types: a sampled branch of a randomized circuit and the
 circuit it runs, the maximally mixed state, the dense density of a pure
-state, and density-level depolarization.
+state, density-level depolarization, and the depolarize report's results
+drawn fidelity by fidelity.
 """
 
 from __future__ import annotations
@@ -23,7 +25,18 @@ from functools import reduce
 
 import numpy as np
 
-from depolab import Circuit, DensityMatrix, Gate, StateVector, check_fidelity, check_seed
+from depolab import (
+    Circuit,
+    DensityMatrix,
+    Gate,
+    StateVector,
+    check_fidelity,
+    check_seed,
+    depolarize,
+    outcome_string,
+    output_distribution,
+    sample,
+)
 from depolab.tolerances import EXACT_TOL
 
 _S2 = 2.0**-0.5
@@ -228,6 +241,23 @@ def draw_order_sample(dist, seed: int, count: int) -> dict[int, int]:
     return dict(zip(outcomes.tolist(), tallies[outcomes].tolist()))
 
 
+def loop_empirical_tv(counts: dict[int, int], dist) -> float:
+    """Total variation between a tally's frequencies and dist, each
+    frequency the Python quotient c / total, refusing the first bad item."""
+    total = sum(counts.values())
+    if total < 1:
+        raise ValueError("counts must contain at least one draw")
+    size = 1 << dist.width
+    freq = np.zeros(size)
+    for z, c in counts.items():
+        if not 0 <= z < size:
+            raise ValueError(f"outcome {z} out of range for width {dist.width}")
+        if c < 0:
+            raise ValueError(f"negative tally for outcome {z}")
+        freq[z] = c / total
+    return 0.5 * float(np.abs(freq - dist.probs).sum())
+
+
 # Test-only helpers on the package's types.
 
 
@@ -273,3 +303,22 @@ def depolarize_density(rho: DensityMatrix, fidelity: float) -> DensityMatrix:
     f = check_fidelity(fidelity)
     d = 1 << rho.width
     return DensityMatrix(rho.width, f * rho.mat + (1.0 - f) * np.eye(d) / d)
+
+
+def per_fidelity_depolarize(config, circuit) -> dict:
+    """The depolarize results with a fresh `sample` of config.seed per
+    fidelity, an outcome_string per tallied outcome and loop_empirical_tv."""
+    ideal = output_distribution(circuit)
+    entries = []
+    for f in config.fidelity_grid:
+        noisy = depolarize(ideal, f)
+        tally = sample(noisy, config.seed, config.samples)
+        entries.append(
+            {
+                "fidelity": f,
+                "probabilities": noisy.probs,
+                "tally": {outcome_string(z, noisy.width): c for z, c in tally.items()},
+                "empirical_tv": loop_empirical_tv(tally, noisy),
+            }
+        )
+    return {"width": circuit.width, "per_fidelity": entries}

@@ -59,6 +59,8 @@ def test_quick_run_schema(tmp_path):
     assert {"depolarize w=8 samples=10000", "depolarize w=8 samples=10000 to devnull"} == {
         case for layer, case in cases if layer == "render_json"}
     assert ("reports._check", "depolarize w=8 samples=10000") in cases
+    # The depolarize route itself, one draw set for a 3-fidelity grid.
+    assert ("depolarize_grid", "w=8 3 fidelities samples=10000") in cases
     # The kernel table is printed for logs.
     assert "kernel" in proc.stdout and "CNOT w=10" in proc.stdout
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,15 +15,18 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import depolab.cli
 import depolab.construction
 import depolab.statevector
 from depolab import (
+    Circuit,
+    Gate,
     RandomizedCircuit,
     __version__,
     mixture_distribution,
+    outcome_string,
     random_circuit,
     serialize_circuit,
 )
@@ -30,7 +34,8 @@ from depolab.cli import ExperimentConfig, _mixture_checksum, main, run_experimen
 from depolab.construction import _BLOCK_AMPS
 from depolab.depol import SAMPLE_CAP
 from depolab.reports import render_json
-from oracles import brute_checksum
+from oracles import brute_checksum, per_fidelity_depolarize
+from strategies import fidelities, gates, seeds
 
 ROOT = Path(__file__).resolve().parents[1]
 BELL = "qubits 2\nH 0\nCNOT 0 1\n"
@@ -153,6 +158,62 @@ class TestDepolarize:
             assert main(args) == 0
             config = depolab.cli._config_from_args(depolab.cli.build_parser().parse_args(args))
             assert read() == (render_json(run_experiment(config)) + "\n").encode()
+
+
+@st.composite
+def low_qubit_circuits(draw) -> Circuit:
+    """A circuit of width 1-10 whose gates touch only its lowest qubits, so
+    that with fewer than all of them every higher outcome has probability 0."""
+    width = draw(st.integers(1, 10))
+    active = draw(st.integers(1, width))
+    return Circuit(width, tuple(draw(st.lists(gates(active), max_size=12))))
+
+
+class TestDepolarizeGrid:
+    """One draw set serves the whole fidelity grid, and each distinct
+    outcome is named once; the reports are those of a fresh draw per fidelity."""
+
+    @given(
+        low_qubit_circuits(),
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0, 0.5]), fidelities), min_size=1, max_size=4),
+        seeds,
+        st.one_of(st.integers(1, 40), st.integers(1, 3000)),
+    )
+    # Fewer and more draws than outcomes at width 10, and F = 1 on a circuit
+    # whose upper half of outcomes has probability 0 (the last-outcome fold).
+    @example(Circuit(10, (Gate("H", (0,)), Gate("T", (0,)))), [0.0, 1.0, 0.25, 0.25], 5, 1000)
+    @example(Circuit(10, (Gate("H", (3,)),)), [1.0, 0.0, 1.0], 8, 2000)
+    @example(Circuit(1, ()), [1.0], 0, 1)
+    @settings(max_examples=200)
+    def test_matches_the_per_fidelity_route(self, circuit, grid, seed, samples):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "circuit.qc"
+            path.write_text(serialize_circuit(circuit))
+            config = ExperimentConfig(subcommand="depolarize", circuit_path=str(path),
+                                      fidelity_grid=tuple(grid), seed=seed, samples=samples)
+            report = run_experiment(config)
+        expected = {**report, "results": per_fidelity_depolarize(config, circuit)}
+        assert render_json(report) == render_json(expected)
+
+    def test_outcome_names_are_shared(self, monkeypatch):
+        # F = 1 tallies two outcomes of GHZ and F = 0 all eight: each of the
+        # eight is named once, and every tally holds that same str object.
+        calls = []
+
+        def counted(index, width):
+            calls.append(index)
+            return outcome_string(index, width)
+
+        monkeypatch.setattr(depolab.cli, "outcome_string", counted)
+        config = ExperimentConfig(subcommand="depolarize", circuit_path=str(ROOT / "circuits" / "ghz.qc"),
+                                  fidelity_grid=(1.0, 0.0, 0.5, 1.0), seed=3, samples=2000)
+        tallies = [entry["tally"] for entry in run_experiment(config)["results"]["per_fidelity"]]
+        first = {}
+        for tally in tallies:
+            for key in tally:
+                assert first.setdefault(key, key) is key
+        assert sorted(calls) == list(range(8)) and len(first) == 8
+        assert len(tallies[0]) == 2
 
 
 class TestCertify:
@@ -451,10 +512,16 @@ class TestErrorPaths:
         assert main(["discriminate", "--w", "5", "--k", "5"]) == 4
         assert "2**28 bytes" in capsys.readouterr().err
 
-    def test_sample_cap_exits_four(self, capsys, bell_path):
-        argv = ["depolarize", "--circuit", bell_path, "--samples", "10000000000"]
-        assert main(argv) == 4
-        assert "80000000000 bytes" in capsys.readouterr().err
+    def test_sample_cap_exits_four(self, capsys, monkeypatch, bell_path):
+        # The count is refused before the circuit is simulated.
+        def simulated(_circuit):
+            raise AssertionError("the circuit was simulated")
+
+        monkeypatch.setattr(depolab.cli, "output_distribution", simulated)
+        for samples in (SAMPLE_CAP + 1, 10**10):
+            argv = ["depolarize", "--circuit", bell_path, "--samples", str(samples)]
+            assert main(argv) == 4
+            assert f"{8 * samples} bytes" in capsys.readouterr().err
 
     def test_density_width_cap_exits_four(self, capsys):
         # A 12-qubit density matrix would need 2**28 bytes before any check.

@@ -16,7 +16,7 @@ from depolab import (
     sample,
 )
 from depolab.depol import SAMPLE_CAP
-from oracles import brute_additive_l1, brute_mult_worst, draw_order_sample
+from oracles import brute_additive_l1, brute_mult_worst, draw_order_sample, loop_empirical_tv
 from strategies import circuits, distributions, fidelities, low_fidelities, seeds
 
 point2 = Distribution(2, np.array([1.0, 0.0, 0.0, 0.0]))
@@ -271,6 +271,35 @@ class TestEmpiricalTv:
     def test_negative_tally(self):
         with pytest.raises(ValueError, match="negative"):
             empirical_tv({0: -3, 3: 5}, bell_dist)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_the_loop_bit_for_bit(self, data):
+        dist = data.draw(distributions(max_width=6))
+        counts = st.one_of(st.integers(0, 20), st.integers(0, 10**12))
+        tally = data.draw(st.dictionaries(st.integers(0, dist.probs.size - 1), counts, min_size=1))
+        assume(sum(tally.values()) >= 1)
+        assert empirical_tv(tally, dist) == loop_empirical_tv(tally, dist)
+
+    @pytest.mark.parametrize("tally", [
+        {-1: 2}, {0: 0}, {0: 1, 9: -2, 3: 1}, {3: 2, 1: -1, 7: 4}, {5: -1, 0: 3},
+    ])
+    def test_refusals_match_the_loop(self, tally):
+        # The first bad item in the tally's order is named, as the loop names it.
+        with pytest.raises(ValueError) as loop:
+            loop_empirical_tv(tally, bell_dist)
+        with pytest.raises(ValueError) as got:
+            empirical_tv(tally, bell_dist)
+        assert str(got.value) == str(loop.value)
+
+    @pytest.mark.parametrize("tally", [{0: 2**63}, {2**63: 1}, {0: -(2**63) - 1, 3: 2**64}])
+    def test_past_int64_is_refused_not_wrapped(self, tally):
+        with pytest.raises(ValueError, match="int64"):
+            empirical_tv(tally, bell_dist)
+
+    def test_total_past_int64_does_not_wrap(self):
+        tally = {0: 2**62, 3: 2**62 + 2**61}
+        assert empirical_tv(tally, bell_dist) == loop_empirical_tv(tally, bell_dist) > 0.09
 
     def test_large_sample_width_eight(self, bell_circuit):
         # 1e6 draws from a depolarized width-8 distribution: the plug-in

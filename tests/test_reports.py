@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from depolab import outcome_string, reports
-from depolab.reports import FLOAT_CHUNK, _render_float, render_json
+from depolab.reports import FLOAT_CHUNK, INT_RUN, _render_float, render_json
 
 # Finite floats, with the awkward ones drawn often: both zeros, subnormals
 # and a few repeats, so chunks share and split runs of equal values.
@@ -195,6 +195,16 @@ class TestStreamed:
         # The tally's key, the tally, the array's key, two chunks, "]", "}".
         assert len(sink.pieces) == 7
         assert "".join(sink.pieces) == render_json(tree)
+
+    @pytest.mark.parametrize("items", [0, 1, INT_RUN - 1, INT_RUN, INT_RUN + 1])
+    def test_int_runs_in_sub_runs(self, items):
+        # A run of ints ends at a non-int item; no piece holds more than
+        # INT_RUN of its items.
+        tree = {"tally": {**{outcome_string(z, 13): z for z in range(items)}, "after": [0.5]}}
+        sink = Pieces()
+        render_json(tree, sink)
+        assert "".join(sink.pieces) == render_json(tree) == json.dumps(tree, indent=2)
+        assert max(piece.count("\n") for piece in sink.pieces) <= INT_RUN + 1
 
     @pytest.mark.parametrize("bad, error, message", [
         (math.nan, ValueError, "reports must not contain nan"),
