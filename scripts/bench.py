@@ -15,7 +15,13 @@ not fall behind (tests/oracles.py), `mixture_distribution` by (w, m),
 draws (`run_experiment`: one draw set, tallies and their names), rendering
 its report (the check walk alone, to a string, and streamed into
 os.devnull), thm1's mixture checksum (streamed from the circuit, so the
-mixture's work is in it), and (full runs only) the tier-1 suite.  Rows hold raw medians: the
+mixture's work is in it), and (full runs only) the tier-1 suite.  The
+kernel rows build each state and its workspace before the clock starts,
+so they time the gates and not the allocator.  One more row, `run_cold`,
+times the first `run` of a w = 18, 400-gate circuit in a fresh child
+interpreter (5 children, or one in --quick at w = 10 with 40 gates) and
+records its median minor page-fault count from getrusage, the cost a CLI
+invocation pays on pages it has not touched yet.  Rows hold raw medians: the
 host's speed drifts, so a row moves between two files as far as between
 two runs of one tree, and only rows timed in one run (`sample` next to
 `sample_draw_order`) compare closely.  The file also records the Python
@@ -67,7 +73,7 @@ from depolab.reports import _check, render_json  # noqa: E402
 from depolab.statevector import _apply_gate_inplace  # noqa: E402
 from oracles import draw_order_sample  # noqa: E402
 
-SCHEMA = "depolab-bench/3"
+SCHEMA = "depolab-bench/4"
 KINDS = ("H", "S", "T", "X", "I1", "CNOT")
 FULL = {
     "run": (16, 20, 22),
@@ -81,6 +87,7 @@ FULL = {
     "parse": (10, 200_000),
     "tally": (16, 10**6),
     "checksum": (6, 16),
+    "cold": (18, 400),
 }
 QUICK = {
     "run": (10,),
@@ -94,6 +101,7 @@ QUICK = {
     "parse": (4, 2_000),
     "tally": (8, 10**4),
     "checksum": (3, 6),
+    "cold": (10, 40),
 }
 REPEATS, HEAVY_REPEATS = 5, 3
 
@@ -109,8 +117,10 @@ def random_distribution(width: int) -> Distribution:
 
 def kernel_sweep(width: int, kind: str):
     """One application of the gate on the lowest, middle and top qubit (a
-    CNOT controlled by the next qubit up), on a dense state."""
+    CNOT controlled by the next qubit up), on a dense state, with the
+    workspace allocated outside the sweep as `run` allocates it."""
     amps = np.full(1 << width, 2.0 ** (-width / 2), dtype=np.complex128)
+    scratch = np.full(amps.size // 2, 0.0, dtype=np.complex128)  # touched here, not in the sweep
     gates = [
         Gate(kind, ((t + 1) % width, t) if kind == "CNOT" else (t,))
         for t in sorted({0, width // 2, width - 1})
@@ -118,7 +128,7 @@ def kernel_sweep(width: int, kind: str):
 
     def sweep():
         for g in gates:
-            _apply_gate_inplace(amps, g, width)
+            _apply_gate_inplace(amps, g, width, scratch)
 
     return sweep, len(gates)
 
@@ -176,6 +186,38 @@ def cases(sizes: dict, workdir: Path):
     w, m = sizes["checksum"]
     rc = RandomizedCircuit(random_circuit(w, m, rng(w + m)))
     yield "mixture_checksum", f"w={w} m={m}", lambda: _mixture_checksum(rc), 1, False
+
+
+# The child of cold_run: the first `run` after import, its seconds and the
+# minor page faults it took, as one JSON line.
+COLD_CHILD = """
+import json, resource, sys, time
+import numpy as np
+from depolab import random_circuit, run
+width, gates = int(sys.argv[1]), int(sys.argv[2])
+circuit = random_circuit(width, gates, np.random.Generator(np.random.Philox(key=width)))
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+start = time.perf_counter()
+run(circuit)
+seconds = time.perf_counter() - start
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(json.dumps({"seconds": seconds, "minor_faults": faults}))
+"""
+
+
+def cold_run(width: int, gates: int, children: int) -> tuple[float, int]:
+    """Median seconds and minor page faults of the first `run` of a random
+    circuit, each in a fresh child interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    samples = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", COLD_CHILD, str(width), str(gates)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout)
+        for _ in range(children)
+    ]
+    return (statistics.median(s["seconds"] for s in samples),
+            int(statistics.median(s["minor_faults"] for s in samples)))
 
 
 def render_to_devnull(report) -> None:
@@ -242,14 +284,19 @@ def main() -> None:
     repeats = 1 if args.quick else REPEATS
     rows = []
 
-    def record(layer: str, case: str, median: float, runs: int) -> None:
-        rows.append({"layer": layer, "case": case, "median_s": median, "runs": runs})
-        print(f"{layer:<27} {case:<26} {median * 1e3:>11.3f} ms", flush=True)
+    def record(layer: str, case: str, median: float, runs: int, **extra) -> None:
+        rows.append({"layer": layer, "case": case, "median_s": median, "runs": runs, **extra})
+        note = "".join(f"  {key}={value}" for key, value in extra.items())
+        print(f"{layer:<27} {case:<26} {median * 1e3:>11.3f} ms{note}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         for layer, case, fn, calls, heavy in cases(QUICK if args.quick else FULL, Path(tmp)):
             runs = min(repeats, HEAVY_REPEATS) if heavy else repeats
             record(layer, case, median_seconds(fn, calls, runs, not heavy), runs)
+    width, gates = (QUICK if args.quick else FULL)["cold"]
+    seconds, faults = cold_run(width, gates, repeats)
+    record("run_cold", f"{gates} gates w={width} fresh interpreter", seconds, repeats,
+           minor_faults=faults)
     if not args.quick:
         record("tier1_suite", "pytest -q", suite_seconds(), 1)
 

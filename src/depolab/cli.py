@@ -49,7 +49,7 @@ from .depol import (
 from .discrimination import _check_power_cap, bound_chain, random_density_matrix
 from .errors import CapExceeded, CircuitParseError
 from .reports import render_json
-from .statevector import distribution_of, output_distribution, run, zero_overlap
+from .statevector import _check_width, distribution_of, output_distribution, run, zero_overlap
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ def _run_simulate(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
 
 
 def _run_depolarize(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
-    # One draw set serves the grid, refused past SAMPLE_CAP before simulating.
-    draws = _sorted_draws(config.seed, config.samples)
+    _check_width(circuit.width)  # refused, like SAMPLE_CAP, before anything is drawn
+    draws = _sorted_draws(config.seed, config.samples)  # one draw set serves the grid
     ideal = output_distribution(circuit)
     noisy = [depolarize(ideal, f) for f in config.fidelity_grid]
     tallies = [_tally_sorted(dist, draws) for dist in noisy]

@@ -98,7 +98,9 @@ def _mixture_rows(rc: RandomizedCircuit) -> Iterator[np.ndarray]:
     output is the last intended gate on the held rows, then its alternate:
     each block is copied, advanced and squared, and the held rows are not
     written.  Gates go in blocks of at most _BLOCK_AMPS amplitudes (at
-    least one row), so the kernel's scratch does not grow with the batch.
+    least one row), and one workspace of half a block, allocated once,
+    serves every gate and holds each block's probabilities: a yielded
+    block is a view into it, valid until the next block is requested.
     The caps are checked before anything is allocated, and the sum within
     EXACT_TOL after the last block.
     """
@@ -111,20 +113,22 @@ def _mixture_rows(rc: RandomizedCircuit) -> Iterator[np.ndarray]:
     rows = max(1, _BLOCK_AMPS >> w)
     held = np.zeros((1 << max(m - 1, 0), 1 << w), dtype=np.complex128)
     held[0, 0] = 1.0
+    block = np.empty_like(held[:rows])
+    scratch = np.empty(block.size // 2, dtype=np.complex128)  # also a block's float64 probs
     for j, (primary, alternate) in enumerate(rc.steps[:-1]):
         half = 1 << j
         held[half : 2 * half] = held[:half]
         for gate, first in ((primary, 0), (alternate, half)):
             for start in range(first, first + half, rows):
-                _apply_gate_inplace(held[start : min(start + rows, first + half)], gate, w)
+                _apply_gate_inplace(held[start : min(start + rows, first + half)], gate, w, scratch)
     # With m = 0 there is no last step: the one held row is the mixture.
     total = 0.0
     for gate in rc.steps[-1] if m else (Gate("I1", (0,)),):
         for start in range(0, len(held), rows):
-            block = held[start : start + rows].copy()
-            _apply_gate_inplace(block, gate, w)
-            probs = _squared_abs(block).ravel()
-            del block
+            part = block[: min(rows, len(held) - start)]  # the last block may be short
+            np.copyto(part, held[start : start + len(part)])
+            _apply_gate_inplace(part, gate, w, scratch)
+            probs = _squared_abs(part.ravel(), scratch.view(np.float64)[: part.size])
             probs /= 1 << m
             total += float(probs.sum())
             yield probs
@@ -133,12 +137,12 @@ def _mixture_rows(rc: RandomizedCircuit) -> Iterator[np.ndarray]:
 
 def mixture_distribution(rc: RandomizedCircuit) -> Distribution:
     """Exact outcome distribution of the randomized circuit, joined from
-    _mixture_rows: one gate application per (step, branch prefix) rather
-    than a fresh simulation per branch.  At its peak it holds two copies of
-    the 2**(w+m) probabilities, or the first m-1 steps' 2**(w+m-1)
-    amplitudes and one copy.
+    copies of _mixture_rows' blocks: one gate application per (step, branch
+    prefix) rather than a fresh simulation per branch.  At its peak it holds
+    two copies of the 2**(w+m) probabilities, or the first m-1 steps'
+    2**(w+m-1) amplitudes and one copy.
     """
-    return Distribution(rc.total_width, np.concatenate(list(_mixture_rows(rc))))
+    return Distribution(rc.total_width, np.concatenate([p.copy() for p in _mixture_rows(rc)]))
 
 
 def depolarized_acceptance(rc: RandomizedCircuit, q: float, fidelity: float) -> float:

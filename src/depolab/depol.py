@@ -154,18 +154,18 @@ def additive_certificate(dist: Distribution, fidelity: float) -> CertificateRepo
     """
     f = check_fidelity(fidelity)
     uniform = 1.0 / (1 << dist.width)
-    noisy = depolarize(dist, f)
-    deviations = np.abs(noisy.probs - uniform)
-    achieved = float(deviations.sum())
+    deviations = np.subtract(depolarize(dist, f).probs, uniform)  # reused for both sums
+    achieved = float(np.abs(deviations, out=deviations).sum())
+    witness = int(deviations.argmax())
     bound = 2.0 * f
-    scaled = f * float(np.abs(dist.probs - uniform).sum())
-    drift = abs(float(dist.probs.sum()) - 1.0)
+    np.subtract(dist.probs, uniform, out=deviations)
+    scaled = f * float(np.abs(deviations, out=deviations).sum())
     return CertificateReport(
         theorem="additive",
         bound=bound,
         achieved=achieved,
-        witness=int(deviations.argmax()),
-        passed=achieved <= bound + ADDITIVE_ROUNDOFF + f * drift,
+        witness=witness,
+        passed=achieved <= bound + ADDITIVE_ROUNDOFF + f * abs(float(dist.probs.sum()) - 1.0),
         scaled_ideal_l1=scaled,
     )
 
@@ -189,9 +189,10 @@ def multiplicative_certificate(dist: Distribution, fidelity: float) -> Certifica
     if f == 0.0:
         return CertificateReport("multiplicative", bound, 0.0, 0, True)
     uniform = 1.0 / (1 << n)
-    noisy = depolarize(dist, f)
-    # noisy.probs >= (1 - F) * 2**-n > 0 for F <= 1/2, so dividing is safe.
-    ratios = np.abs(noisy.probs - uniform) / noisy.probs
+    noisy = depolarize(dist, f).probs
+    # noisy >= (1 - F) * 2**-n > 0 for F <= 1/2, so dividing is safe.
+    ratios = np.subtract(noisy, uniform)  # one buffer, folded and divided in place
+    np.divide(np.abs(ratios, out=ratios), noisy, out=ratios)
     achieved = float(ratios.max())
     return CertificateReport(
         theorem="multiplicative",

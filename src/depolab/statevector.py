@@ -7,7 +7,8 @@ axis -1-q) and works on the two halves along the target axis in place,
 doing only what the gate needs: I1 nothing, X and CNOT (where the control
 is 1) a swap of the halves, S and T one product on the 1-half, and H the
 full 2x2 update.  Any C-contiguous array whose last axis is the amplitude
-index works, so a batch of states advances in one call.
+index works, so a batch of states advances in one call.  Its one workspace,
+half the array, is allocated once per run: a gate allocates nothing.
 
 No approximation anywhere: simulation is exact up to float round-off, and
 widths are capped at WIDTH_CAP qubits rather than degraded.  StateVector
@@ -118,8 +119,9 @@ def _pinned(bits: np.ndarray, width: int, *pins: tuple[int, int]) -> np.ndarray:
     return bits[(..., *index)]
 
 
-def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
-    """Apply one gate to amps (last axis = amplitude index), in place."""
+def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int, scratch: np.ndarray) -> None:
+    """Apply one gate to amps (last axis = amplitude index), in place, with
+    scratch (flat complex128, at least amps.size // 2) as its one workspace."""
     if not amps.flags.c_contiguous:
         # reshape would hand back a copy and the writes below would be lost.
         raise ValueError("the gate kernel needs a C-contiguous amplitude array")
@@ -130,49 +132,50 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
     pins = [(control, 1) for control in controls]
     a = _pinned(bits, width, *pins, (target, 0))
     b = _pinned(bits, width, *pins, (target, 1))
+    t = scratch[: a.size].reshape(a.shape)  # an array even when 0-d
     if gate.kind in ("X", "CNOT"):
-        a_old = a.copy()
-        a[...] = b
-        b[...] = a_old
+        # A ufunc tests overlap exactly; a[...] = b would copy b first.
+        np.copyto(t, a)
+        np.positive(b, out=a)
+        np.copyto(b, t)
         return
     u = GATE_MATRICES[gate.kind]
     if gate.kind == "H":
-        # The same four products and two sums as U[0,0]*a + U[0,1]*b and
-        # U[1,0]*a + U[1,1]*b, through two half-sized buffers: no kind
-        # holds more scratch than H's two halves, whatever the circuit.
-        p, q = np.empty_like(a), np.empty_like(b)  # arrays even when 0-d
-        np.multiply(u[0, 0], a, out=p)
-        np.multiply(u[0, 1], b, out=q)
-        p += q
-        np.multiply(u[1, 0], a, out=q)
-        a[...] = p
-        np.multiply(u[1, 1], b, out=p)
-        np.add(q, p, out=b)
+        # U[0,0] = U[1,0], so t = U[1,0]*a serves both rows of the 2x2 update, with the
+        # same products and sums in the same order; real entries round alike in any loop.
+        np.multiply(u[1, 0], a, out=t)
+        np.add(t, np.multiply(u[0, 1], b, out=a), out=a)
+        np.add(t, np.multiply(u[1, 1], b, out=b), out=b)
     else:  # S or T: diagonal, so the 0-half keeps its amplitudes.
-        # Scalar first: b *= u[1, 1] on a strided view takes numpy's FMA
-        # loop and rounds T's product differently.
-        b[...] = u[1, 1] * b
+        # Into t, as u[1, 1] * b would: b *= u[1, 1] on a strided view
+        # takes numpy's FMA loop and rounds T's product differently.
+        np.copyto(b, np.multiply(u[1, 1], b, out=t))
+
+
+def _check_width(width: int) -> None:
+    """Refuse a width past WIDTH_CAP before anything is allocated or drawn."""
+    if width > WIDTH_CAP:
+        raise CapExceeded(f"circuit width {width} exceeds the cap of {WIDTH_CAP} qubits; "
+                          f"its 2**{width} amplitudes need 2**{width + 4} bytes")
 
 
 def run(circuit: Circuit) -> StateVector:
     """Simulate the circuit from |0...0> and return the final state, its
     norm checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
-    if circuit.width > WIDTH_CAP:
-        raise CapExceeded(
-            f"circuit width {circuit.width} exceeds the cap of {WIDTH_CAP} qubits; its "
-            f"2**{circuit.width} amplitudes need 2**{circuit.width + 4} bytes"
-        )
+    _check_width(circuit.width)
     amps = np.zeros(1 << circuit.width, dtype=np.complex128)
     amps[0] = 1.0
+    scratch = np.empty(amps.size // 2, dtype=np.complex128)  # the one workspace
     for g in circuit.gates:
-        _apply_gate_inplace(amps, g, circuit.width)
+        _apply_gate_inplace(amps, g, circuit.width, scratch)
+    del scratch  # freed before StateVector copies the amplitudes in
     return StateVector(circuit.width, amps, tol=EXACT_TOL + GATE_ROUNDOFF * circuit.m)
 
 
-def _squared_abs(amps: np.ndarray) -> np.ndarray:
-    """|amps|^2 as a fresh float64 array, squared in place: bit-identical
-    to np.abs(amps) ** 2 without its second temporary."""
-    probs = np.abs(amps)
+def _squared_abs(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|amps|^2 as float64, in out or a fresh array, squared in place:
+    bit-identical to np.abs(amps) ** 2 without its second temporary."""
+    probs = np.abs(amps, out=out)
     return np.square(probs, out=probs)
 
 

@@ -6,7 +6,8 @@ explicit Kronecker products, per-branch enumeration, plain-Python loops
 over outcomes, a grid search over single-qubit measurements, dense
 k-copy tensor powers measured with an explicit projector, the generic
 2x2 gate kernel the package's kind-specialised one must match bit for
-bit, a checksum that packs every float on its own, inverse-CDF sampling
+bit, that kernel as it was when it allocated its own buffers per gate, a
+checksum that packs every float on its own, inverse-CDF sampling
 that looks up each draw in the order it was drawn, and a tally's total
 variation summed one outcome at a time.
 
@@ -216,6 +217,37 @@ def matrix_kernel(amps: np.ndarray, gate, width: int) -> None:
     a_new = u[0, 0] * a + u[0, 1] * b
     b[...] = u[1, 0] * a + u[1, 1] * b
     a[...] = a_new
+
+
+def allocating_kernel(amps: np.ndarray, gate, width: int) -> None:
+    """The kind-specialised kernel as it was before it took a workspace:
+    fresh half-sized buffers per gate (a_old for X and CNOT, p and q for H,
+    a temporary for S and T).  The workspace kernel must match its bytes,
+    signed zeros included."""
+    if gate.kind == "I1":
+        return
+    bits = amps.reshape(amps.shape[:-1] + (2,) * width)
+    *controls, target = gate.targets
+    pins = [(control, 1) for control in controls]
+    a = _kernel_pinned(bits, width, *pins, (target, 0))
+    b = _kernel_pinned(bits, width, *pins, (target, 1))
+    if gate.kind in ("X", "CNOT"):
+        a_old = a.copy()
+        a[...] = b
+        b[...] = a_old
+        return
+    u = KERNEL_MATRICES[gate.kind]
+    if gate.kind == "H":
+        p, q = np.empty_like(a), np.empty_like(b)
+        np.multiply(u[0, 0], a, out=p)
+        np.multiply(u[0, 1], b, out=q)
+        p += q
+        np.multiply(u[1, 0], a, out=q)
+        a[...] = p
+        np.multiply(u[1, 1], b, out=p)
+        np.add(q, p, out=b)
+    else:
+        b[...] = u[1, 1] * b
 
 
 def loop_outcome_string(index: int, width: int) -> str:

@@ -32,15 +32,17 @@ def test_quick_run_schema(tmp_path):
     proc = run_bench("--quick", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     bench = json.loads(out.read_text(encoding="utf-8"))
-    assert bench["schema"] == "depolab-bench/3"
+    assert bench["schema"] == "depolab-bench/4"
     env = bench["environment"]
     assert env["quick"] is True and env["repeats"] == 1
     assert env["cores"] >= 1 and env["src_lines"] > 0
     for key in ("depolab", "python", "numpy", "machine", "git_sha", "git_dirty"):
         assert key in env
     for row in bench["rows"]:
-        # One raw median per row, with no host-speed reference beside it.
-        assert set(row) == {"layer", "case", "median_s", "runs"}
+        # One raw median per row, with no host-speed reference beside it;
+        # the cold run also carries its page-fault count.
+        extra = {"minor_faults"} if row["layer"] == "run_cold" else set()
+        assert set(row) == {"layer", "case", "median_s", "runs"} | extra
         assert math.isfinite(row["median_s"]) and row["median_s"] >= 0 and row["runs"] >= 1
     cases = {(row["layer"], row["case"]) for row in bench["rows"]}
     assert len(cases) == len(bench["rows"])
@@ -61,6 +63,10 @@ def test_quick_run_schema(tmp_path):
     assert ("reports._check", "depolarize w=8 samples=10000") in cases
     # The depolarize route itself, one draw set for a 3-fidelity grid.
     assert ("depolarize_grid", "w=8 3 fidelities samples=10000") in cases
+    # The first run in a fresh interpreter, with its minor page faults.
+    (cold,) = [row for row in bench["rows"] if row["layer"] == "run_cold"]
+    assert cold["case"] == "40 gates w=10 fresh interpreter" and cold["runs"] == 1
+    assert isinstance(cold["minor_faults"], int) and cold["minor_faults"] >= 0
     # The kernel table is printed for logs.
     assert "kernel" in proc.stdout and "CNOT w=10" in proc.stdout
 

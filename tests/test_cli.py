@@ -314,8 +314,9 @@ class TestMixtureChecksum:
         assert _mixture_checksum(rc) == brute_checksum(mixture_distribution(rc).probs)
 
     def test_peak_memory_is_half_the_branches(self):
-        # The held 2**(w+m-1) amplitudes, plus one block's copy, H's two
-        # halves of scratch and float64 output, and the previous output.
+        # The held 2**(w+m-1) amplitudes, plus the block buffer, the half
+        # block of workspace its probabilities are squared into, and
+        # numpy's fixed loop buffers (2 * np.getbufsize() complex items).
         w, m = 6, 14
         rc = RandomizedCircuit(random_circuit(w, m, np.random.Generator(np.random.Philox(key=3))))
         tracemalloc.start()
@@ -324,15 +325,15 @@ class TestMixtureChecksum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (1 << (w + m - 1)) * 16 + 48 * _BLOCK_AMPS
+        assert peak <= (1 << (w + m - 1)) * 16 + 24 * _BLOCK_AMPS + 32 * np.getbufsize() + 16384
 
     def test_sum_is_checked_on_both_routes(self, monkeypatch):
         # A kernel that grows every amplitude by 1e-6 breaks the unit sum
         # far past EXACT_TOL: the stream refuses it as Distribution does.
         real = depolab.construction._apply_gate_inplace
 
-        def drifting(amps, gate, width):
-            real(amps, gate, width)
+        def drifting(amps, gate, width, scratch):
+            real(amps, gate, width, scratch)
             amps *= 1 + 1e-6
 
         monkeypatch.setattr(depolab.construction, "_apply_gate_inplace", drifting)
@@ -522,6 +523,21 @@ class TestErrorPaths:
             argv = ["depolarize", "--circuit", bell_path, "--samples", str(samples)]
             assert main(argv) == 4
             assert f"{8 * samples} bytes" in capsys.readouterr().err
+
+    def test_width_refused_before_the_draws(self, capsys, monkeypatch, tmp_path):
+        # 10**7 draws are 80 MB: a circuit past WIDTH_CAP exits 4 before them.
+        # Past both caps, the message names the width cap.
+        path = tmp_path / "wide.qc"
+        path.write_text("qubits 30\nH 0\n")
+
+        def drawn(*args):
+            raise AssertionError("the draws were made before the width check")
+
+        monkeypatch.setattr(depolab.cli, "_sorted_draws", drawn)
+        for samples in (10**7, SAMPLE_CAP + 1):
+            argv = ["depolarize", "--circuit", str(path), "--samples", str(samples)]
+            assert main(argv) == 4
+            assert "circuit width 30 exceeds the cap" in capsys.readouterr().err
 
     def test_density_width_cap_exits_four(self, capsys):
         # A 12-qubit density matrix would need 2**28 bytes before any check.

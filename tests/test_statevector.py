@@ -15,12 +15,15 @@ from depolab import (
     WIDTH_CAP,
     output_distribution,
     parse_circuit,
+    random_circuit,
     run,
     zero_overlap,
 )
+import depolab.statevector
 from depolab.statevector import GATE_ROUNDOFF, _apply_gate_inplace
 from depolab.tolerances import EXACT_TOL
 from oracles import (
+    allocating_kernel,
     brute_amplitudes,
     brute_distribution,
     dense_unitary,
@@ -30,6 +33,13 @@ from oracles import (
 from strategies import circuits, seeds
 
 S2 = 2.0**-0.5
+# numpy's strided ufunc loops buffer each operand in a fixed-size block
+# (np.getbufsize() items), whatever the array's size.
+LOOP_BUFFERS = 2 * np.getbufsize() * 16
+
+
+def workspace(amps: np.ndarray) -> np.ndarray:
+    return np.empty(amps.size // 2, dtype=np.complex128)
 
 
 def plus_state():
@@ -63,30 +73,35 @@ class TestApplyGate:
         # A strided array would be reshaped into a copy, losing the writes.
         amps = np.zeros((2, 4), dtype=np.complex128)[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            _apply_gate_inplace(amps, Gate("H", (0,)), 1)
+            _apply_gate_inplace(amps, Gate("H", (0,)), 1, workspace(amps))
 
     def test_identity_still_refuses_non_contiguous(self):
         # I1 does no work, but a strided array is refused before that.
         amps = np.zeros((2, 4), dtype=np.complex128)[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            _apply_gate_inplace(amps, Gate("I1", (0,)), 1)
+            _apply_gate_inplace(amps, Gate("I1", (0,)), 1, workspace(amps))
 
     @pytest.mark.parametrize(
-        "gate", [Gate("H", (3,)), Gate("X", (3,)), Gate("CNOT", (0, 3)), Gate("T", (3,))]
+        "gate",
+        [Gate("H", (3,)), Gate("X", (3,)), Gate("CNOT", (0, 3)), Gate("T", (3,)),
+         Gate("H", (0,)), Gate("CNOT", (11, 0)), Gate("S", (0,))],
     )
-    def test_scratch_is_at_most_two_halves(self, gate):
-        # The mixture stream hands the kernel blocks of at most _BLOCK_AMPS
-        # amplitudes, and its memory bound allows two halves of a block for
-        # scratch next to the held rows: no kind may need more.
-        # numpy's strided loops add buffers of a fixed size on top.
-        amps = np.zeros((64, 1 << 12), dtype=np.complex128)
-        tracemalloc.start()
-        try:
-            _apply_gate_inplace(amps, gate, 12)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= amps.nbytes * 9 // 8
+    def test_workspace_is_the_only_batch_sized_memory(self, gate):
+        # Given its workspace, the kernel allocates nothing that grows with
+        # the batch: a 4x larger batch peaks the same, within numpy's fixed
+        # loop buffers (a[...] = b between the halves would copy b).
+        peaks = []
+        for rows in (64, 256):
+            amps = np.zeros((rows, 1 << 12), dtype=np.complex128)
+            scratch = workspace(amps)
+            tracemalloc.start()
+            try:
+                _apply_gate_inplace(amps, gate, 12, scratch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 4096
+        assert max(peaks) <= LOOP_BUFFERS + 16384
 
     @given(circuits(max_width=5, max_gates=12))
     @settings(max_examples=30)
@@ -94,8 +109,9 @@ class TestApplyGate:
         # Row i starts at basis state i; each row must end as U|i>.
         d = 1 << circuit.width
         batch = np.eye(d, dtype=np.complex128)
+        scratch = workspace(batch)
         for g in circuit.gates:
-            _apply_gate_inplace(batch, g, circuit.width)
+            _apply_gate_inplace(batch, g, circuit.width, scratch)
         assert np.allclose(batch.T, dense_unitary(circuit), atol=1e-10)
 
 
@@ -123,8 +139,9 @@ class TestKernelMatchesMatrixKernel:
             rng = np.random.Generator(np.random.Philox(key=seed))
             start = rng.normal(size=d) + 1j * rng.normal(size=d)
         fast, slow = start.copy(), start.copy()
+        scratch = workspace(fast)
         for g in circuit.gates:
-            _apply_gate_inplace(fast, g, circuit.width)
+            _apply_gate_inplace(fast, g, circuit.width, scratch)
             matrix_kernel(slow, g, circuit.width)
         assert_same_bits(fast, slow)
 
@@ -134,10 +151,43 @@ class TestKernelMatchesMatrixKernel:
         # Rows of the identity, as mixture_distribution advances its branches.
         fast = np.eye(1 << circuit.width, dtype=np.complex128)
         slow = fast.copy()
+        scratch = workspace(fast)
         for g in circuit.gates:
-            _apply_gate_inplace(fast, g, circuit.width)
+            _apply_gate_inplace(fast, g, circuit.width, scratch)
             matrix_kernel(slow, g, circuit.width)
         assert_same_bits(fast, slow)
+
+
+class TestKernelMatchesAllocatingKernel:
+    """The workspace kernel against the allocating kernel it replaced, byte
+    for byte: simulate reports zero_amplitude with its sign, so amplitudes
+    that compare equal but differ in a zero's sign are a regression."""
+
+    @given(
+        circuits(max_width=10, max_gates=40),
+        st.sampled_from(["zero", "dense", "signed-zero"]),
+        st.sampled_from([(), (1,), (3,)]),
+        seeds,
+    )
+    @settings(max_examples=200)
+    def test_same_bytes(self, circuit, start, batch, seed):
+        shape = batch + (1 << circuit.width,)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        if start == "zero":  # the simulate path: exact zeros everywhere but one
+            amps = np.zeros(shape, dtype=np.complex128)
+            amps[..., 0] = 1.0
+        else:
+            amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if start == "signed-zero":  # a third of the parts +0, a third -0
+            parts = amps.view(np.float64)
+            pick = rng.integers(3, size=parts.shape)
+            parts[pick == 1], parts[pick == 2] = 0.0, -0.0
+        fast, slow = amps.copy(), amps.copy()
+        scratch = workspace(fast)
+        for g in circuit.gates:
+            _apply_gate_inplace(fast, g, circuit.width, scratch)
+            allocating_kernel(slow, g, circuit.width)
+        assert fast.tobytes() == slow.tobytes()
 
 
 class TestRun:
@@ -219,6 +269,33 @@ class TestWidthCap:
         assert WIDTH_CAP == 24
         with pytest.raises(CapExceeded, match=r"width 25.* 2\*\*29 bytes"):
             run(Circuit(25, ()))
+
+
+class TestRunMemory:
+    def test_state_plus_half_a_state(self, monkeypatch):
+        # The gate loop holds the state, its half-state workspace and
+        # numpy's loop buffers; the workspace is freed before StateVector
+        # copies the amplitudes in, so the whole run peaks at two states.
+        # 64 KiB covers the Python objects on the way.
+        w = 16
+        state = 16 << w
+        circuit = random_circuit(w, 100, np.random.Generator(np.random.Philox(key=w)))
+        real = depolab.statevector.StateVector
+        loop_peaks = []
+
+        def built(*args, **kwargs):
+            loop_peaks.append(tracemalloc.get_traced_memory()[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(depolab.statevector, "StateVector", built)
+        tracemalloc.start()
+        try:
+            run(circuit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loop_peaks[0] <= 1.5 * state + LOOP_BUFFERS + 65536
+        assert peak <= 2.0 * state + 65536
 
 
 class TestTypes:
