@@ -8,8 +8,9 @@ Every row is the median wall time of 5 calls in this interpreter, after
 one untimed call (3 calls and none untimed for the multi-second rows, one
 call in --quick): the gate kernel by gate kind and width (seconds per
 gate), `run` on random circuits, depolarize and both certificates,
-`sample` over a width x count grid next to the draw-order lookup it must
-not fall behind (tests/oracles.py), `mixture_distribution` by (w, m),
+`sample` (`tally` of fresh `sorted_draws`, as arrays) over a width x
+count grid next to the draw-order lookup it must not fall behind
+(tests/oracles.py), `mixture_distribution` by (w, m),
 `bound_chain` on a pure state by (w, k), `random_density_matrix`,
 `parse_circuit`, the depolarize route on a 3-fidelity grid with 10**6
 draws (`run_experiment`: one draw set, tallies and their names), rendering
@@ -65,8 +66,9 @@ from depolab import (  # noqa: E402
     random_circuit,
     random_density_matrix,
     run,
-    sample,
     serialize_circuit,
+    sorted_draws,
+    tally,
 )
 from depolab.cli import ExperimentConfig, _mixture_checksum, run_experiment  # noqa: E402
 from depolab.reports import _check, render_json  # noqa: E402
@@ -147,7 +149,7 @@ def cases(sizes: dict, workdir: Path):
         dist = random_distribution(w)
         for count in sizes["sample_counts"]:
             case = f"w={w} count={count}"
-            yield "sample", case, lambda d=dist, n=count: sample(d, 1, n), 1, False
+            yield "sample", case, lambda d=dist, n=count: tally(d, sorted_draws(1, n)), 1, False
             yield "sample_draw_order", case, lambda d=dist, n=count: draw_order_sample(d, 1, n), 1, False
     for w, k in sizes["chain"]:
         state = run(random_circuit(w, 20, rng(w)))

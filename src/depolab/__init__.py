@@ -38,7 +38,8 @@ from .depol import (
     depolarize,
     empirical_tv,
     multiplicative_certificate,
-    sample,
+    sorted_draws,
+    tally,
 )
 from .discrimination import (
     ChainLink,
@@ -91,8 +92,9 @@ __all__ = [
     "random_circuit",
     "random_density_matrix",
     "run",
-    "sample",
     "sbp_thresholds",
     "serialize_circuit",
+    "sorted_draws",
+    "tally",
     "zero_overlap",
 ]

@@ -36,15 +36,15 @@ from .construction import (
     sbp_thresholds,
 )
 from .depol import (
-    _sorted_draws,
-    _tally_sorted,
-    _tally_tv,
     additive_certificate,
     check_fidelity,
     check_positive_int,
     check_seed,
     depolarize,
+    empirical_tv,
     multiplicative_certificate,
+    sorted_draws,
+    tally,
 )
 from .discrimination import _check_power_cap, bound_chain, random_density_matrix
 from .errors import CapExceeded, CircuitParseError
@@ -100,10 +100,10 @@ def _run_simulate(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
 
 def _run_depolarize(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
     _check_width(circuit.width)  # refused, like SAMPLE_CAP, before anything is drawn
-    draws = _sorted_draws(config.seed, config.samples)  # one draw set serves the grid
+    draws = sorted_draws(config.seed, config.samples)  # one draw set serves the grid
     ideal = output_distribution(circuit)
     noisy = [depolarize(ideal, f) for f in config.fidelity_grid]
-    tallies = [_tally_sorted(dist, draws) for dist in noisy]
+    tallies = [tally(dist, draws) for dist in noisy]
     del draws  # 8 bytes a draw: freed before the names and the report are built
     distinct = set().union(*(outcomes.tolist() for outcomes, _ in tallies))
     names = {z: outcome_string(z, circuit.width) for z in distinct}
@@ -112,7 +112,7 @@ def _run_depolarize(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
             "fidelity": f,
             "probabilities": dist.probs,
             "tally": dict(zip(map(names.__getitem__, outcomes.tolist()), counts.tolist())),
-            "empirical_tv": _tally_tv(outcomes, counts, dist),
+            "empirical_tv": empirical_tv(outcomes, counts, dist),
         }
         for f, dist, (outcomes, counts) in zip(config.fidelity_grid, noisy, tallies)
     ]

@@ -58,16 +58,16 @@ def check_fidelity(value: float) -> float:
 
 
 def check_seed(seed: int) -> int:
-    """Validate a seed: an integer representable in 64 bits."""
+    """Validate a seed: an integer representable in 64 bits, not a bool."""
     s = int(seed)
-    if s != seed or not 0 <= s < 2**64:
+    if s != seed or not 0 <= s < 2**64 or isinstance(seed, (bool, np.bool_)):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return s
 
 
 def check_positive_int(name: str, value: int) -> int:
-    """Validate a count or width: an integer >= 1 (an integral float counts)."""
-    if not (value >= 1 and value % 1 == 0):  # also rejects NaN and infinity
+    """Validate a count or width: an integer >= 1 (an integral float, not a bool)."""
+    if not (value >= 1 and value % 1 == 0) or isinstance(value, (bool, np.bool_)):  # NaN and inf fail too
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -101,17 +101,7 @@ def depolarize(dist: Distribution, fidelity: float) -> Distribution:
     return Distribution(dist.width, f * dist.probs + uniform, tol=EXACT_TOL + drift)
 
 
-def sample(dist: Distribution, seed: int, count: int) -> dict[int, int]:
-    """Draw `count` outcomes by inverse CDF; returns {outcome: tally}.
-
-    Only outcomes that occurred appear as keys.  Deterministic in (seed,
-    dist, count).  Draws are looked up in sorted order: a tally ignores order.
-    """
-    outcomes, tallies = _tally_sorted(dist, _sorted_draws(seed, count))
-    return dict(zip(outcomes.tolist(), tallies.tolist()))
-
-
-def _sorted_draws(seed: int, count: int) -> np.ndarray:
+def sorted_draws(seed: int, count: int) -> np.ndarray:
     """`count` sorted uniforms of the Philox stream keyed by `seed`; the seed,
     the count and SAMPLE_CAP are checked before anything is drawn."""
     check_seed(seed)
@@ -125,9 +115,14 @@ def _sorted_draws(seed: int, count: int) -> np.ndarray:
     return u
 
 
-def _tally_sorted(dist: Distribution, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(outcomes drawn, ascending; their tallies) of sorted draws u: one
-    binary search per entry of the shorter of u and the CDF, into the other."""
+def tally(dist: Distribution, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(outcomes drawn, ascending; their tallies) of sorted draws u, a nonempty
+    1-D float array in [0, 1), such as sorted_draws returns: one binary search
+    per entry of the shorter of u and the CDF, into the other."""
+    u = np.asarray(u)
+    if not (u.ndim == 1 and u.size and u.dtype.kind == "f"  # NaN fails a comparison below
+            and 0.0 <= u[0] and u[-1] < 1.0 and (u[:-1] <= u[1:]).all()):
+        raise ValueError("draws must be a nonempty 1-D float array, sorted ascending, in [0, 1)")
     cdf = np.cumsum(dist.probs)
     # cdf[-1] can round to just below 1; fold the sliver into the last
     # outcome that has probability.
@@ -203,17 +198,16 @@ def multiplicative_certificate(dist: Distribution, fidelity: float) -> Certifica
     )
 
 
-def empirical_tv(counts: dict[int, int], dist: Distribution) -> float:
-    """Total-variation distance between a tally's frequencies and dist."""
-    try:
-        outcomes, tallies = np.array(list(counts.items()), np.int64).reshape(-1, 2).T
-    except OverflowError:
-        raise ValueError("tally outcomes and counts must fit in int64") from None
-    return _tally_tv(outcomes, tallies, dist)
-
-
-def _tally_tv(outcomes: np.ndarray, tallies: np.ndarray, dist: Distribution) -> float:
-    """empirical_tv of a tally as int64 arrays: tallies[i] draws of outcomes[i]."""
+def empirical_tv(outcomes: np.ndarray, tallies: np.ndarray, dist: Distribution) -> float:
+    """Total-variation distance between a tally's frequencies and dist:
+    tallies[i] draws of outcomes[i], each outcome at most once (as `tally`
+    returns them)."""
+    outcomes, tallies = np.asarray(outcomes), np.asarray(tallies)
+    # A Python int past int64 makes a uint64, float or object array: refused here.
+    if not (outcomes.ndim == 1 and outcomes.shape == tallies.shape
+            and outcomes.dtype.kind == tallies.dtype.kind == "i"):
+        raise ValueError("outcomes and tallies must be 1-D signed integer arrays (within int64) "
+                         f"of one length, got {outcomes.dtype}{outcomes.shape}, {tallies.dtype}{tallies.shape}")
     total = tallies.sum(dtype=np.float64)  # exact below 2**53: c / total rounds once
     if total < 1:
         raise ValueError("counts must contain at least one draw")
@@ -224,6 +218,8 @@ def _tally_tv(outcomes: np.ndarray, tallies: np.ndarray, dist: Distribution) -> 
         if not 0 <= z < size:
             raise ValueError(f"outcome {z} out of range for width {dist.width}")
         raise ValueError(f"negative tally for outcome {z}")
+    if np.bincount(outcomes).max() > 1:  # not kept: a refusal counts again to name it
+        raise ValueError(f"outcome {np.bincount(outcomes).argmax()} is tallied more than once")
     freq = np.zeros(size)
     freq[outcomes] = tallies / total
     return 0.5 * float(np.abs(freq - dist.probs).sum())

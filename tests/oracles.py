@@ -36,7 +36,8 @@ from depolab import (
     depolarize,
     outcome_string,
     output_distribution,
-    sample,
+    sorted_draws,
+    tally,
 )
 from depolab.tolerances import EXACT_TOL
 
@@ -338,19 +339,20 @@ def depolarize_density(rho: DensityMatrix, fidelity: float) -> DensityMatrix:
 
 
 def per_fidelity_depolarize(config, circuit) -> dict:
-    """The depolarize results with a fresh `sample` of config.seed per
+    """The depolarize results with fresh sorted_draws of config.seed per
     fidelity, an outcome_string per tallied outcome and loop_empirical_tv."""
     ideal = output_distribution(circuit)
     entries = []
     for f in config.fidelity_grid:
         noisy = depolarize(ideal, f)
-        tally = sample(noisy, config.seed, config.samples)
+        outcomes, counts = tally(noisy, sorted_draws(config.seed, config.samples))
+        counted = dict(zip(outcomes.tolist(), counts.tolist()))
         entries.append(
             {
                 "fidelity": f,
                 "probabilities": noisy.probs,
-                "tally": {outcome_string(z, noisy.width): c for z, c in tally.items()},
-                "empirical_tv": loop_empirical_tv(tally, noisy),
+                "tally": {outcome_string(z, noisy.width): c for z, c in counted.items()},
+                "empirical_tv": loop_empirical_tv(counted, noisy),
             }
         )
     return {"width": circuit.width, "per_fidelity": entries}
