@@ -25,9 +25,12 @@ records its median minor page-fault count from getrusage, the cost a CLI
 invocation pays on pages it has not touched yet.  Rows hold raw medians: the
 host's speed drifts, so a row moves between two files as far as between
 two runs of one tree, and only rows timed in one run (`sample` next to
-`sample_draw_order`) compare closely.  The file also records the Python
-and numpy versions, the core count, the src line count and the git
-commit.  --quick runs the same rows at small sizes in a few seconds.
+`sample_draw_order`) compare closely.  The package is imported before
+numpy, so the rows run on the one-thread BLAS pool the CLI runs on.  The
+file also records the Python and numpy versions, the core count, the
+`OPENBLAS_NUM_THREADS` numpy loaded with (`blas_threads`), the src line
+count and the git commit.  --quick runs the same rows at small sizes in a
+few seconds.
 
 These are in-process layer times.  perfbench/run.py measures something
 else: whole CLI runs, one fresh interpreter each, scaled by a reference
@@ -50,9 +53,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import numpy as np  # noqa: E402
-
+# depolab before numpy, as the CLI loads them: the package pins OpenBLAS
+# to one thread unless OPENBLAS_NUM_THREADS is already set.
 import depolab  # noqa: E402
+
+BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")  # as numpy loads it
+
+import numpy as np  # noqa: E402
 from depolab import (  # noqa: E402
     Distribution,
     Gate,
@@ -75,7 +82,7 @@ from depolab.reports import _check, render_json  # noqa: E402
 from depolab.statevector import _apply_gate_inplace  # noqa: E402
 from oracles import draw_order_sample  # noqa: E402
 
-SCHEMA = "depolab-bench/4"
+SCHEMA = "depolab-bench/5"
 KINDS = ("H", "S", "T", "X", "I1", "CNOT")
 FULL = {
     "run": (16, 20, 22),
@@ -194,8 +201,8 @@ def cases(sizes: dict, workdir: Path):
 # minor page faults it took, as one JSON line.
 COLD_CHILD = """
 import json, resource, sys, time
-import numpy as np
 from depolab import random_circuit, run
+import numpy as np
 width, gates = int(sys.argv[1]), int(sys.argv[2])
 circuit = random_circuit(width, gates, np.random.Generator(np.random.Philox(key=width)))
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -269,6 +276,7 @@ def environment(quick: bool, repeats: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cores": os.cpu_count(),
+        "blas_threads": BLAS_THREADS,
         "machine": platform.machine(),
         "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src),
         "git_sha": git("rev-parse", "HEAD"),

@@ -9,7 +9,13 @@ depolarization, and evaluates how little k copies help in distinguishing
 the depolarized state from pure noise.
 """
 
-__version__ = "0.10.1"
+import os
+
+# One OpenBLAS thread unless the user set it, before numpy loads: a threaded
+# eigensolve rounds with the core count, so report bytes would vary by host.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+__version__ = "0.11.0"
 
 from .circuits import (
     Circuit,

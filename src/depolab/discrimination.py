@@ -92,8 +92,9 @@ def random_density_matrix(width: int, seed: int, rank: int | None = None) -> Den
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
-    # Symmetrize away the last-ulp Hermiticity loss from the matmul.
-    mat = (mat + mat.conj().T) / 2.0
+    # Symmetrize away the matmul's last-ulp Hermiticity loss, in place.
+    mat += mat.conj().T
+    mat *= 0.5
     return DensityMatrix(width, mat)
 
 

@@ -4,6 +4,7 @@ schema, and the newest committed BENCH file was written by it for today's src.""
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,8 +33,11 @@ def test_quick_run_schema(tmp_path):
     proc = run_bench("--quick", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     bench = json.loads(out.read_text(encoding="utf-8"))
-    assert bench["schema"] == "depolab-bench/4"
+    assert bench["schema"] == "depolab-bench/5"
     env = bench["environment"]
+    # The child inherits this environment; depolab pins one thread unless
+    # it is already set.
+    assert env["blas_threads"] == os.environ.get("OPENBLAS_NUM_THREADS", "1")
     assert env["quick"] is True and env["repeats"] == 1
     assert env["cores"] >= 1 and env["src_lines"] > 0
     for key in ("depolab", "python", "numpy", "machine", "git_sha", "git_dirty"):

@@ -735,6 +735,73 @@ class TestEndToEnd:
         assert out.read_bytes() == traced
 
 
+# A fresh interpreter imports depolab and prints what it left in the
+# environment and, where ctypes finds the symbol in the OpenBLAS that numpy
+# bundles, the live width of its thread pool (null otherwise).
+BLAS_CHILD = """
+import ctypes, json, os
+from pathlib import Path
+import depolab
+import numpy as np
+
+def pool_width():
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("lib*openblas*")) if libs.is_dir() else []:
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": pool_width()}))
+"""
+
+
+def child_env(blas_threads):
+    """This environment with src on the path and OPENBLAS_NUM_THREADS set
+    to blas_threads, or removed when it is None."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def blas_after_import(blas_threads):
+    proc = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=child_env(blas_threads),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestBlasThreads:
+    def test_import_pins_one_thread(self):
+        seen = blas_after_import(None)
+        assert seen["env"] == "1"
+        if seen["threads"] is None:
+            pytest.skip("OpenBLAS's get_num_threads is not reachable by ctypes here")
+        assert seen["threads"] == 1
+
+    def test_user_setting_wins(self):
+        assert blas_after_import("2")["env"] == "2"
+
+    def test_report_bytes_do_not_depend_on_the_default_pool(self):
+        # A 512x512 density matrix: its eigensolve rounds differently on a
+        # multi-threaded pool, so without the pin a host with two or more
+        # cores printed other bytes here than with one thread.
+        argv = [sys.executable, "-m", "depolab", "discriminate", "--w", "9", "--k", "2",
+                "--fidelity", "0.25,0.5,0.9", "--seed", "1"]
+        reports = [
+            subprocess.run(argv, env=child_env(threads), capture_output=True, timeout=120)
+            for threads in (None, "1")
+        ]
+        assert [proc.returncode for proc in reports] == [0, 0]
+        assert reports[0].stdout == reports[1].stdout
+
+
 # Whole command lines: a subcommand (or an unknown one), some of the flags
 # it takes (--circuit always where it is required), maybe one flag from
 # anywhere, each value drawn from a fixed pool of good and bad values.  The
