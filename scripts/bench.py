@@ -11,7 +11,8 @@ gate), `run` on random circuits, depolarize and both certificates,
 `sample` (`tally` of fresh `sorted_draws`, as arrays) over a width x
 count grid next to the draw-order lookup it must not fall behind
 (tests/oracles.py), `mixture_distribution` by (w, m),
-`bound_chain` on a pure state by (w, k), `random_density_matrix`,
+`bound_chain` on a pure state by (w, k), `random_density_matrix` (with
+the tracemalloc peak of one more, untimed call: `peak_bytes`),
 `parse_circuit`, the depolarize route on a 3-fidelity grid with 10**6
 draws (`run_experiment`: one draw set, tallies and their names), rendering
 its report (the check walk alone, to a string, and streamed into
@@ -48,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,7 +84,7 @@ from depolab.reports import _check, render_json  # noqa: E402
 from depolab.statevector import _apply_gate_inplace  # noqa: E402
 from oracles import draw_order_sample  # noqa: E402
 
-SCHEMA = "depolab-bench/5"
+SCHEMA = "depolab-bench/6"
 KINDS = ("H", "S", "T", "X", "I1", "CNOT")
 FULL = {
     "run": (16, 20, 22),
@@ -235,6 +237,16 @@ def render_to_devnull(report) -> None:
         render_json(report, handle)
 
 
+def peak_bytes(fn) -> int:
+    """The tracemalloc peak of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def median_seconds(fn, calls: int, repeats: int, warm_up: bool) -> float:
     if warm_up:  # first-touch pages and caches; too dear for the heavy rows
         fn()
@@ -302,7 +314,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for layer, case, fn, calls, heavy in cases(QUICK if args.quick else FULL, Path(tmp)):
             runs = min(repeats, HEAVY_REPEATS) if heavy else repeats
-            record(layer, case, median_seconds(fn, calls, runs, not heavy), runs)
+            median = median_seconds(fn, calls, runs, not heavy)
+            extra = {"peak_bytes": peak_bytes(fn)} if layer == "random_density_matrix" else {}
+            record(layer, case, median, runs, **extra)
     width, gates = (QUICK if args.quick else FULL)["cold"]
     seconds, faults = cold_run(width, gates, repeats)
     record("run_cold", f"{gates} gates w={width} fresh interpreter", seconds, repeats,

@@ -15,7 +15,7 @@ import os
 # eigensolve rounds with the core count, so report bytes would vary by host.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .circuits import (
     Circuit,

@@ -21,9 +21,9 @@ line of that chain numerically and reports both sides of each.
 Because rho0 = I/2**n commutes with everything, every norm in the chain
 is a sum over mu = F*spec(rho) + (1-F)/2**n: rho1 - rho0 has eigenvalues
 mu - 2**-n, and rho1^(x)k - rho0^(x)k has the k-fold products of mu, less
-2**(-n*k).  So bound_chain reads only spec(rho), and a circuit's pure
-state is never densified.  POWER_CAP bounds the 2**(k*n) products, and
-also the 2**(2*n) entries of a seeded random density (n <= 11).
+2**(-n*k).  So bound_chain reads only spec(rho), all a DensityMatrix
+keeps; a circuit's pure state is never densified.  POWER_CAP bounds the
+2**(k*n) products, and the 2**(2*n) entries of a drawn density (n <= 11).
 """
 
 from __future__ import annotations
@@ -47,31 +47,26 @@ POWER_CAP = 22
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated density matrix: Hermitian, unit trace within tol
-    (EXACT_TOL unless the caller knows a round-off bound), PSD up to slack.
-    spectrum keeps the ascending eigenvalues the PSD check computed.
-    Equality and hashing are by identity."""
+    """A density matrix as its spectrum, all bound_chain reads: 2**width
+    eigenvalues in any order, each finite and at least EIG_FLOOR, summing
+    to 1 within tol (EXACT_TOL unless the caller knows a round-off bound).
+    Pass a Hermitian matrix as np.linalg.eigvalsh(mat).  Equality and
+    hashing are by identity."""
 
     width: int
-    mat: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False)
+    spectrum: np.ndarray
     tol: float = field(default=EXACT_TOL, kw_only=True, repr=False)
 
     def __post_init__(self):
-        d = 1 << self.width
-        mat = _freeze(self, "mat", np.complex128, (d, d), f"a {d}x{d} matrix")
-        if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=EXACT_TOL):
-            raise ValueError("matrix is not Hermitian")
-        _check_unit("trace", complex(np.trace(mat)), self.tol)
-        spectrum = np.linalg.eigvalsh(mat)
-        if spectrum[0] < EIG_FLOOR:  # eigvalsh sorts ascending
-            raise ValueError(f"eigenvalue {float(spectrum[0])!r} below {EIG_FLOOR}")
-        spectrum.setflags(write=False)
-        object.__setattr__(self, "spectrum", spectrum)
+        spectrum = _freeze(self, "spectrum", np.float64, "eigenvalues")
+        below = spectrum[~(spectrum >= EIG_FLOOR)]  # NaN too; +inf fails the trace
+        if below.size:
+            raise ValueError(f"eigenvalue {float(below[0])!r} is not >= {EIG_FLOOR}")
+        _check_unit("trace", float(spectrum.sum()), self.tol)
 
 
 def random_density_matrix(width: int, seed: int, rank: int | None = None) -> DensityMatrix:
-    """Seeded random density: G G^dag / tr for a complex Gaussian G.
+    """Seeded random density: spec(G G^dag / tr) for a complex Gaussian G.
 
     rank=None draws full rank; rank=1 gives a Haar-random pure state.
     """
@@ -91,11 +86,12 @@ def random_density_matrix(width: int, seed: int, rank: int | None = None) -> Den
     rng = np.random.Generator(np.random.Philox(key=seed))
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     mat = g @ g.conj().T
+    del g
     mat /= np.trace(mat).real
-    # Symmetrize away the matmul's last-ulp Hermiticity loss, in place.
+    # Symmetrize away the matmul's last-ulp Hermiticity loss, in place and exactly.
     mat += mat.conj().T
     mat *= 0.5
-    return DensityMatrix(width, mat)
+    return DensityMatrix(width, np.linalg.eigvalsh(mat))
 
 
 def _check_power_cap(width: int, k: int) -> None:

@@ -50,11 +50,13 @@ GATE_MATRICES = {
 }
 
 
-def _freeze(obj, name: str, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Copy obj.name in as a read-only array of dtype and shape; set it back."""
+def _freeze(obj, name: str, dtype, what: str) -> np.ndarray:
+    """Copy obj.name in as a read-only 1-D array of dtype with 2**obj.width
+    entries; set it back."""
     values = np.array(getattr(obj, name), dtype=dtype)
-    if values.shape != shape:
-        raise ValueError(f"expected {what} for width {obj.width}, got shape {values.shape}")
+    d = 1 << obj.width
+    if values.shape != (d,):
+        raise ValueError(f"expected {d} {what} for width {obj.width}, got shape {values.shape}")
     values.setflags(write=False)
     object.__setattr__(obj, name, values)
     return values
@@ -80,13 +82,12 @@ class StateVector:
     tol: float = field(default=EXACT_TOL, kw_only=True, repr=False)
 
     def __post_init__(self):
-        d = 1 << self.width
-        amps = _freeze(self, "amps", np.complex128, (d,), f"{d} amplitudes")
+        amps = _freeze(self, "amps", np.complex128, "amplitudes")
         _check_unit("state norm", float(np.linalg.norm(amps)), self.tol)
 
     @property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues of |psi><psi|, ascending like DensityMatrix.spectrum:
+        """Eigenvalues of |psi><psi|, ascending as eigvalsh returns them:
         2**width - 1 zeros, then the squared norm (1 up to the state's drift)."""
         spectrum = np.zeros(1 << self.width)
         spectrum[-1] = np.vdot(self.amps, self.amps).real
@@ -103,8 +104,7 @@ class Distribution:
     tol: float = field(default=EXACT_TOL, kw_only=True, repr=False)
 
     def __post_init__(self):
-        d = 1 << self.width
-        probs = _freeze(self, "probs", np.float64, (d,), f"{d} probabilities")
+        probs = _freeze(self, "probs", np.float64, "probabilities")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         _check_unit("probability sum", float(probs.sum()), self.tol)

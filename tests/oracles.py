@@ -13,9 +13,10 @@ variation summed one outcome at a time.
 
 The last section holds helpers that only the tests need, built on the
 package's public types: a sampled branch of a randomized circuit and the
-circuit it runs, the maximally mixed state, the dense density of a pure
-state, density-level depolarization, and the depolarize report's results
-drawn fidelity by fidelity.
+circuit it runs, the DensityMatrix of a dense matrix (its Hermiticity
+checked here), the dense seeded random density, the maximally mixed
+state, the dense density of a pure state, density-level depolarization,
+and the depolarize report's results drawn fidelity by fidelity.
 """
 
 from __future__ import annotations
@@ -148,11 +149,11 @@ def brute_trace_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
-def trace_norm_diff(rho, sigma) -> float:
-    """|| rho - sigma ||_1 of two DensityMatrix objects of one width."""
-    if rho.width != sigma.width:
-        raise ValueError(f"width mismatch: {rho.width} vs {sigma.width}")
-    return brute_trace_norm(rho.mat, sigma.mat)
+def trace_norm_diff(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """|| rho - sigma ||_1 of two dense density matrices of one width."""
+    if rho.shape != sigma.shape:
+        raise ValueError(f"width mismatch: {rho.shape} vs {sigma.shape}")
+    return brute_trace_norm(rho, sigma)
 
 
 def brute_helstrom(rho0, rho1, k: int) -> tuple[float, float]:
@@ -316,26 +317,50 @@ def realized_circuit(rc, bits: tuple[int, ...]) -> Circuit:
     return Circuit(rc.total_width, gates)
 
 
-def maximally_mixed(width: int) -> DensityMatrix:
-    """I / 2**width."""
+def density(mat, tol: float = EXACT_TOL) -> DensityMatrix:
+    """The DensityMatrix of a dense 2**n x 2**n density matrix: Hermitian
+    within EXACT_TOL, checked here, then its eigvalsh spectrum, whose sum
+    (the trace) the package checks within tol."""
+    mat = np.asarray(mat, dtype=np.complex128)
+    if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=EXACT_TOL):
+        raise ValueError("matrix is not Hermitian")
+    return DensityMatrix(len(mat).bit_length() - 1, np.linalg.eigvalsh(mat), tol=tol)
+
+
+def random_density(width: int, seed: int, rank: int | None = None) -> np.ndarray:
+    """The dense G G^dag / tr whose spectrum random_density_matrix keeps,
+    drawn the same way: a Philox-keyed complex Gaussian G, 2**width x rank
+    (full rank by default), then symmetrized in place, which leaves the
+    matrix exactly Hermitian."""
+    check_seed(seed)
     d = 1 << width
-    return DensityMatrix(width, np.eye(d) / d)
+    r = d if rank is None else rank
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    mat = g @ g.conj().T
+    mat /= np.trace(mat).real
+    mat += mat.conj().T
+    mat *= 0.5
+    return mat
 
 
-def pure_density(state: StateVector) -> DensityMatrix:
-    """Rank-one density |psi><psi| of a statevector.  Its trace is the
-    squared norm, so it is checked within EXACT_TOL plus the state's own
-    measured drift of that norm (a simulated state may carry round-off)."""
-    drift = abs(float(np.linalg.norm(state.amps)) ** 2 - 1.0)
-    mat = np.outer(state.amps, state.amps.conj())
-    return DensityMatrix(state.width, mat, tol=EXACT_TOL + drift)
+def maximally_mixed(width: int) -> np.ndarray:
+    """I / 2**width, dense."""
+    d = 1 << width
+    return np.eye(d) / d
 
 
-def depolarize_density(rho: DensityMatrix, fidelity: float) -> DensityMatrix:
-    """F * rho + (1 - F) * I/2**n, the density-level depolarization."""
+def pure_density(state: StateVector) -> np.ndarray:
+    """Rank-one dense density |psi><psi| of a statevector; its trace is the
+    squared norm, so it carries a simulated state's round-off drift."""
+    return np.outer(state.amps, state.amps.conj())
+
+
+def depolarize_density(rho: np.ndarray, fidelity: float) -> np.ndarray:
+    """F * rho + (1 - F) * I/2**n, the density-level depolarization, dense."""
     f = check_fidelity(fidelity)
-    d = 1 << rho.width
-    return DensityMatrix(rho.width, f * rho.mat + (1.0 - f) * np.eye(d) / d)
+    d = rho.shape[0]
+    return f * rho + (1.0 - f) * np.eye(d) / d
 
 
 def per_fidelity_depolarize(config, circuit) -> dict:

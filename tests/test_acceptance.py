@@ -38,6 +38,7 @@ from oracles import (
     brute_distribution,
     depolarize_density,
     maximally_mixed,
+    random_density,
     realized_circuit,
 )
 
@@ -168,6 +169,7 @@ def test_6_discrimination_chains_and_grid_optimality():
         width = 1 + (i % 3)
         rank = 1 if i % 2 else None
         rho = random_density_matrix(width, seed=CORPUS_SEED + 10 + i, rank=rank)
+        mat = random_density(width, CORPUS_SEED + 10 + i, rank)
         for f in fidelity_grid:
             for k in (1, 2, 3):
                 report = bound_chain(rho, f, k)
@@ -175,8 +177,8 @@ def test_6_discrimination_chains_and_grid_optimality():
                 links = {link.name: link for link in report.links}
                 assert abs(links["noise_scaling"].lhs - links["noise_scaling"].rhs) <= 1e-10
             if width == 1:
-                rho1 = depolarize_density(rho, f)
-                best = bloch_grid_best(maximally_mixed(1).mat, rho1.mat)
+                rho1 = depolarize_density(mat, f)
+                best = bloch_grid_best(maximally_mixed(1), rho1)
                 single = bound_chain(rho, f, 1).p_correct
                 assert best <= single + 1e-9, (i, f)
     elapsed = time.perf_counter() - started

@@ -33,7 +33,7 @@ def test_quick_run_schema(tmp_path):
     proc = run_bench("--quick", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     bench = json.loads(out.read_text(encoding="utf-8"))
-    assert bench["schema"] == "depolab-bench/5"
+    assert bench["schema"] == "depolab-bench/6"
     env = bench["environment"]
     # The child inherits this environment; depolab pins one thread unless
     # it is already set.
@@ -44,8 +44,10 @@ def test_quick_run_schema(tmp_path):
         assert key in env
     for row in bench["rows"]:
         # One raw median per row, with no host-speed reference beside it;
-        # the cold run also carries its page-fault count.
-        extra = {"minor_faults"} if row["layer"] == "run_cold" else set()
+        # the cold run also carries its page-fault count, and the random
+        # density its tracemalloc peak.
+        extra = {"run_cold": {"minor_faults"}, "random_density_matrix": {"peak_bytes"}}.get(
+            row["layer"], set())
         assert set(row) == {"layer", "case", "median_s", "runs"} | extra
         assert math.isfinite(row["median_s"]) and row["median_s"] >= 0 and row["runs"] >= 1
     cases = {(row["layer"], row["case"]) for row in bench["rows"]}
@@ -67,6 +69,12 @@ def test_quick_run_schema(tmp_path):
     assert ("reports._check", "depolarize w=8 samples=10000") in cases
     # The depolarize route itself, one draw set for a 3-fidelity grid.
     assert ("depolarize_grid", "w=8 3 fidelities samples=10000") in cases
+    # One seeded density at w = 4: its peak covers the 16 * 4**4-byte
+    # matrix it draws.
+    (density,) = [row for row in bench["rows"] if row["layer"] == "random_density_matrix"]
+    assert density["case"] == "w=4"
+    assert isinstance(density["peak_bytes"], int)
+    assert 16 * 4**4 <= density["peak_bytes"]
     # The first run in a fresh interpreter, with its minor page faults.
     (cold,) = [row for row in bench["rows"] if row["layer"] == "run_cold"]
     assert cold["case"] == "40 gates w=10 fresh interpreter" and cold["runs"] == 1

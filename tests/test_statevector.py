@@ -337,7 +337,12 @@ class TestTypes:
         assert dist.probs[0] == 0.5
 
     @pytest.mark.parametrize(
-        "cls, values", [(StateVector, [1.0 + 3e-12, 0.0]), (Distribution, [0.5 + 3e-12, 0.5])]
+        "cls, values",
+        [
+            (StateVector, [1.0 + 3e-12, 0.0]),
+            (Distribution, [0.5 + 3e-12, 0.5]),
+            (DensityMatrix, [0.5 + 3e-12, 0.5]),
+        ],
     )
     def test_tol_widens_the_unit_check(self, cls, values):
         values = np.array(values)
@@ -358,7 +363,9 @@ class TestTypes:
             (lambda: Distribution(1, [np.nan, np.nan]), "not 1 within"),
             (lambda: StateVector(1, [0.0, 0.0], tol=1.0), "tol must lie in"),
             (lambda: Distribution(1, [0.0, 0.0], tol=1.0), "tol must lie in"),
-            (lambda: DensityMatrix(1, np.zeros((2, 2)), tol=1.0), "tol must lie in"),
+            (lambda: DensityMatrix(1, [np.nan, 1.0]), "eigenvalue nan is not >="),
+            (lambda: DensityMatrix(1, [np.inf, 0.0]), "not 1 within"),
+            (lambda: DensityMatrix(1, [0.0, 0.0], tol=1.0), "tol must lie in"),
             (lambda: Distribution(1, [0.5, 0.5], tol=np.nan), "tol must lie in"),
             (lambda: Distribution(1, [0.5, 0.5], tol=-1e-12), "tol must lie in"),
         ],
@@ -367,6 +374,8 @@ class TestTypes:
             "nan-distribution",
             "tol1-state",
             "tol1-distribution",
+            "nan-density",
+            "inf-density",
             "tol1-density",
             "nan-tol",
             "negative-tol",
@@ -387,7 +396,7 @@ class TestTypes:
         [
             lambda: StateVector(1, [S2, S2]),
             lambda: Distribution(1, [0.5, 0.5]),
-            lambda: DensityMatrix(1, np.eye(2) / 2),
+            lambda: DensityMatrix(1, [0.5, 0.5]),
         ],
         ids=["StateVector", "Distribution", "DensityMatrix"],
     )
@@ -409,7 +418,7 @@ class TestPureSpectrum:
         assert np.array_equal(spectrum[:-1], np.zeros(7))
         assert spectrum[-1] == pytest.approx(np.sum(np.abs(state.amps) ** 2), rel=1e-15)
         # The dense rank-one density has the same ascending eigenvalues.
-        dense = np.linalg.eigvalsh(pure_density(state).mat)
+        dense = np.linalg.eigvalsh(pure_density(state))
         assert np.allclose(dense, spectrum, rtol=0.0, atol=1e-12)
         # A state off unit norm keeps its drift in the spectrum.
         drifted = StateVector(1, np.array([1.0 + 3e-12, 0.0]), tol=1e-11)
