@@ -79,7 +79,8 @@ from depolab import (  # noqa: E402
     sorted_draws,
     tally,
 )
-from depolab.cli import ExperimentConfig, _mixture_checksum, run_experiment  # noqa: E402
+from depolab.cli import ExperimentConfig, run_experiment  # noqa: E402
+from depolab.construction import mixture_checksum  # noqa: E402
 from depolab.reports import _check, render_json  # noqa: E402
 from depolab.statevector import _apply_gate_inplace  # noqa: E402
 from oracles import draw_order_sample  # noqa: E402
@@ -196,7 +197,7 @@ def cases(sizes: dict, workdir: Path):
         yield "mixture_distribution", f"w={w} m={m}", lambda r=rc: mixture_distribution(r), 1, w + m >= 24
     w, m = sizes["checksum"]
     rc = RandomizedCircuit(random_circuit(w, m, rng(w + m)))
-    yield "mixture_checksum", f"w={w} m={m}", lambda: _mixture_checksum(rc), 1, False
+    yield "mixture_checksum", f"w={w} m={m}", lambda: mixture_checksum(rc), 1, False
 
 
 # The child of cold_run: the first `run` after import, its seconds and the

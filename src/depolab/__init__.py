@@ -54,9 +54,8 @@ from .discrimination import (
     bound_chain,
     random_density_matrix,
 )
-from .errors import CapExceeded, CircuitParseError
+from .errors import WIDTH_CAP, CapExceeded, CircuitParseError
 from .statevector import (
-    WIDTH_CAP,
     Distribution,
     StateVector,
     output_distribution,

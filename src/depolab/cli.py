@@ -21,7 +21,6 @@ Exit codes: 0 every check in the report passed, 1 some check failed,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from contextlib import nullcontext
@@ -31,8 +30,8 @@ from . import __version__
 from .circuits import outcome_string, parse_circuit
 from .construction import (
     RandomizedCircuit,
-    _mixture_rows,
     depolarized_acceptance,
+    mixture_checksum,
     sbp_thresholds,
 )
 from .depol import (
@@ -46,10 +45,10 @@ from .depol import (
     sorted_draws,
     tally,
 )
-from .discrimination import _check_power_cap, bound_chain, random_density_matrix
+from .discrimination import bound_chain, check_copies, random_density_matrix
 from .errors import CapExceeded, CircuitParseError
 from .reports import render_json
-from .statevector import _check_width, distribution_of, output_distribution, run, zero_overlap
+from .statevector import check_width, distribution_of, output_distribution, run, zero_overlap
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,6 @@ def _run_simulate(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
 
 
 def _run_depolarize(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
-    _check_width(circuit.width)  # refused, like SAMPLE_CAP, before anything is drawn
     draws = sorted_draws(config.seed, config.samples)  # one draw set serves the grid
     ideal = output_distribution(circuit)
     noisy = [depolarize(ideal, f) for f in config.fidelity_grid]
@@ -141,16 +139,6 @@ def _run_certify(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
     return results, all_passed
 
 
-def _mixture_checksum(rc: RandomizedCircuit) -> str:
-    """sha256 of the mixture's little-endian float64 bytes, fed a block at a
-    time: exact on every platform, and -0 hashes apart from 0 (the stream's
-    sum check refuses NaN)."""
-    digest = hashlib.sha256()
-    for block in _mixture_rows(rc):
-        digest.update(block.astype("<f8", copy=False))
-    return digest.hexdigest()
-
-
 def _run_thm1(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
     rc = RandomizedCircuit(circuit)
     q = abs(zero_overlap(circuit)) ** 2
@@ -159,7 +147,7 @@ def _run_thm1(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
         for f in config.fidelity_grid
     ]
     try:
-        checksum = _mixture_checksum(rc)
+        checksum = mixture_checksum(rc)
     except CapExceeded:
         checksum = None
     results = {
@@ -185,7 +173,7 @@ def _run_sbp_gap(config: ExperimentConfig, _circuit) -> tuple[dict, bool]:
 
 def _run_discriminate(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
     # Refuse too many copies before the state is simulated or drawn.
-    _check_power_cap(config.w if circuit is None else circuit.width, config.k)
+    check_copies(config.w if circuit is None else circuit.width, config.k)
     if circuit is not None:
         rho = run(circuit)
         source = "circuit"
@@ -227,7 +215,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for f in config.fidelity_grid:
         check_fidelity(f)
     # The one circuit load: each runner takes (config, circuit), None without a file.
+    # Each simulates it whole, so its width is refused first, before draws or copies.
     circuit = None if config.circuit_path is None else _load_circuit(config.circuit_path)
+    if circuit is not None:
+        check_width(circuit.width)
     results, passed = runner(config, circuit)
     echo = asdict(config)
     echo["fidelity_grid"] = list(config.fidelity_grid)

@@ -37,6 +37,7 @@ rather than asserted.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -45,13 +46,9 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .depol import check_fidelity, check_positive_int
-from .errors import CapExceeded
-from .statevector import WIDTH_CAP, Distribution, _apply_gate_inplace, _check_unit, _squared_abs
+from .errors import BRANCH_CAP, WIDTH_CAP, check_cap
+from .statevector import Distribution, _apply_gate_inplace, _check_unit, _squared_abs
 from .tolerances import EXACT_TOL
-
-# Exact branch enumeration walks all 2**m ancilla strings; past this it is
-# no longer a desk-scale computation.
-BRANCH_CAP = 20
 
 # Branch rows advance this many amplitudes at a time (1 MiB of complex128),
 # so the kernel's scratch and the mixture's stream stay this small.
@@ -100,16 +97,15 @@ def _mixture_rows(rc: RandomizedCircuit) -> Iterator[np.ndarray]:
     written.  Gates go in blocks of at most _BLOCK_AMPS amplitudes (at
     least one row), and one workspace of half a block, allocated once,
     serves every gate and holds each block's probabilities: a yielded
-    block is a view into it, valid until the next block is requested.
+    block is a view into it, valid until the next block is requested: its
+    readers, mixture_distribution and mixture_checksum, copy or hash it first.
     The caps are checked before anything is allocated, and the sum within
     EXACT_TOL after the last block.
     """
     w, m = rc.main_width, rc.ancilla_width
-    need = f"2**{w + m + 4} bytes of amplitudes"
-    if m > BRANCH_CAP:
-        raise CapExceeded(f"{m} steps means 2**{m} branches, {need}; the cap is {BRANCH_CAP}")
-    if w + m > WIDTH_CAP:
-        raise CapExceeded(f"total width {w + m} exceeds the cap of {WIDTH_CAP} qubits ({need})")
+    need = f"2**{w + m + 4}"  # the mixture's amplitudes
+    check_cap("ancilla width", m, BRANCH_CAP, "qubits", need)
+    check_cap("total width", w + m, WIDTH_CAP, "qubits", need)
     rows = max(1, _BLOCK_AMPS >> w)
     held = np.zeros((1 << max(m - 1, 0), 1 << w), dtype=np.complex128)
     held[0, 0] = 1.0
@@ -143,6 +139,16 @@ def mixture_distribution(rc: RandomizedCircuit) -> Distribution:
     2**(w+m-1) amplitudes and one copy.
     """
     return Distribution(rc.total_width, np.concatenate([p.copy() for p in _mixture_rows(rc)]))
+
+
+def mixture_checksum(rc: RandomizedCircuit) -> str:
+    """sha256 of the mixture's little-endian float64 bytes, fed a block at a
+    time: exact on every platform, and -0 hashes apart from 0 (the stream's
+    sum check refuses NaN)."""
+    digest = hashlib.sha256()
+    for block in _mixture_rows(rc):
+        digest.update(block.astype("<f8", copy=False))
+    return digest.hexdigest()
 
 
 def depolarized_acceptance(rc: RandomizedCircuit, q: float, fidelity: float) -> float:

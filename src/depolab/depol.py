@@ -31,13 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import SAMPLE_CAP, check_cap
 from .statevector import Distribution
 from .tolerances import EXACT_TOL
-
-# Each draw holds one float64 uniform, sorted in place, so 10**8 draws
-# already need 0.8 GB.
-SAMPLE_CAP = 10**8
 
 # Round-off of the additive certificate's `achieved`, with r = eps/2:
 # rounding 1 - F, F*p_z and their sum moves p'_z by at most r times
@@ -106,10 +102,7 @@ def sorted_draws(seed: int, count: int) -> np.ndarray:
     the count and SAMPLE_CAP are checked before anything is drawn."""
     check_seed(seed)
     count = check_positive_int("count", count)
-    if count > SAMPLE_CAP:
-        raise CapExceeded(
-            f"{count} draws need {8 * count} bytes; the cap is {SAMPLE_CAP} draws"
-        )
+    check_cap("draw count", count, SAMPLE_CAP, "draws", str(8 * count))
     u = np.random.Generator(np.random.Philox(key=seed)).random(count)
     u.sort()
     return u

@@ -35,14 +35,9 @@ from functools import reduce
 import numpy as np
 
 from .depol import check_fidelity, check_positive_int, check_seed
-from .errors import CapExceeded
+from .errors import POWER_CAP, check_cap
 from .statevector import StateVector, _check_unit, _freeze
 from .tolerances import EIG_FLOOR, EXACT_TOL, ORACLE_TOL
-
-# k copies of an n-qubit state live on k*n qubits; the k-copy spectrum
-# holds one float64 per basis state, so 22 qubits is 32 MiB.  An n-qubit
-# density matrix holds 2**(2*n) complex128 entries, 64 MiB at n = 11.
-POWER_CAP = 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +57,7 @@ class DensityMatrix:
         below = spectrum[~(spectrum >= EIG_FLOOR)]  # NaN too; +inf fails the trace
         if below.size:
             raise ValueError(f"eigenvalue {float(below[0])!r} is not >= {EIG_FLOOR}")
-        _check_unit("trace", float(spectrum.sum()), self.tol)
+        _check_unit("trace", spectrum, self.tol)
 
 
 def random_density_matrix(width: int, seed: int, rank: int | None = None) -> DensityMatrix:
@@ -73,12 +68,8 @@ def random_density_matrix(width: int, seed: int, rank: int | None = None) -> Den
     check_seed(seed)
     width = check_positive_int("width", width)
     # Its 2**(2*width) entries share POWER_CAP; refuse them before allocating.
-    if 2 * width > POWER_CAP:
-        raise CapExceeded(
-            f"a {width}-qubit density matrix holds 2**{2 * width} complex entries, "
-            f"which need 2**{2 * width + 4} bytes; the cap is {POWER_CAP // 2} qubits "
-            f"({16 << POWER_CAP} bytes)"
-        )
+    check_cap(f"{width}-qubit density matrix's entry width", 2 * width, POWER_CAP, "qubits",
+              f"2**{2 * width + 4}")
     d = 1 << width
     r = d if rank is None else check_positive_int("rank", rank)
     if r > d:
@@ -94,15 +85,11 @@ def random_density_matrix(width: int, seed: int, rank: int | None = None) -> Den
     return DensityMatrix(width, np.linalg.eigvalsh(mat))
 
 
-def _check_power_cap(width: int, k: int) -> None:
+def check_copies(width: int, k: int) -> None:
+    """Refuse k copies of a width-qubit state past POWER_CAP, before any
+    state is built: their spectrum holds 2**(k*width) float64 eigenvalues."""
     k = check_positive_int("k", k)
-    qubits = k * width
-    if qubits > POWER_CAP:
-        raise CapExceeded(
-            f"{k} copies of {width} qubits is {qubits} qubits, whose 2**{qubits} "
-            f"float64 eigenvalues need 2**{qubits + 3} bytes; the cap is "
-            f"{POWER_CAP} qubits ({8 << POWER_CAP} bytes)"
-        )
+    check_cap(f"{k}-copy width", k * width, POWER_CAP, "qubits", f"2**{k * width + 3}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +133,7 @@ def bound_chain(rho: DensityMatrix | StateVector, fidelity: float, k: int) -> Ch
     5. correctness_cap: p_correct <= 1/2 + k*F/2.
     """
     f = check_fidelity(fidelity)
-    _check_power_cap(rho.width, k)
+    check_copies(rho.width, k)
     d = 1 << rho.width
     spectrum = rho.spectrum
     # rho1 = F*rho + (1-F)*I/d has the noisy spectrum mu in rho's eigenbasis.

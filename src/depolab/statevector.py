@@ -23,11 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .errors import CapExceeded
+from .errors import WIDTH_CAP, check_cap
 from .tolerances import EXACT_TOL
-
-# Largest simulable width: 2**24 complex128 amplitudes are 2**28 bytes.
-WIDTH_CAP = 24
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -62,11 +59,14 @@ def _freeze(obj, name: str, dtype, what: str) -> np.ndarray:
     return values
 
 
-def _check_unit(what: str, value: complex, tol: float) -> None:
-    """Raise unless a norm, sum or trace is 1 within tol, itself in [0, 1):
-    a tol of 1 or more would admit a zero vector.  NaN is never within."""
+def _check_unit(what: str, values, tol: float, total=np.sum) -> None:
+    """Raise unless total(values), a norm, sum or trace, is 1 within tol,
+    itself in [0, 1): a tol of 1 or more would admit a zero vector.  A total
+    that overflows reads as inf, without a warning, and NaN is never within."""
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
+    with np.errstate(over="ignore"):
+        value = float(total(values))
     if not abs(value - 1.0) <= tol:
         raise ValueError(f"{what} {value!r} is not 1 within {tol}")
 
@@ -83,7 +83,7 @@ class StateVector:
 
     def __post_init__(self):
         amps = _freeze(self, "amps", np.complex128, "amplitudes")
-        _check_unit("state norm", float(np.linalg.norm(amps)), self.tol)
+        _check_unit("state norm", amps, self.tol, np.linalg.norm)
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -107,7 +107,7 @@ class Distribution:
         probs = _freeze(self, "probs", np.float64, "probabilities")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
-        _check_unit("probability sum", float(probs.sum()), self.tol)
+        _check_unit("probability sum", probs, self.tol)
 
 
 def _pinned(bits: np.ndarray, width: int, *pins: tuple[int, int]) -> np.ndarray:
@@ -152,17 +152,15 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int, scratch: np.nd
         np.copyto(b, np.multiply(u[1, 1], b, out=t))
 
 
-def _check_width(width: int) -> None:
+def check_width(width: int) -> None:
     """Refuse a width past WIDTH_CAP before anything is allocated or drawn."""
-    if width > WIDTH_CAP:
-        raise CapExceeded(f"circuit width {width} exceeds the cap of {WIDTH_CAP} qubits; "
-                          f"its 2**{width} amplitudes need 2**{width + 4} bytes")
+    check_cap("circuit width", width, WIDTH_CAP, "qubits", f"2**{width + 4}")
 
 
 def run(circuit: Circuit) -> StateVector:
     """Simulate the circuit from |0...0> and return the final state, its
     norm checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
-    _check_width(circuit.width)
+    check_width(circuit.width)
     amps = np.zeros(1 << circuit.width, dtype=np.complex128)
     amps[0] = 1.0
     scratch = np.empty(amps.size // 2, dtype=np.complex128)  # the one workspace

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,10 +32,13 @@ from depolab import (
     random_circuit,
     serialize_circuit,
 )
-from depolab.cli import ExperimentConfig, _mixture_checksum, main, run_experiment
-from depolab.construction import _BLOCK_AMPS
-from depolab.depol import SAMPLE_CAP
+from depolab.cli import ExperimentConfig, main, run_experiment
+from depolab.construction import _BLOCK_AMPS, mixture_checksum
+from depolab.depol import SAMPLE_CAP, sorted_draws
+from depolab.discrimination import check_copies, random_density_matrix
+from depolab.errors import CapExceeded
 from depolab.reports import render_json
+from depolab.statevector import check_width
 from oracles import brute_checksum, per_fidelity_depolarize
 from strategies import fidelities, gates, seeds
 
@@ -312,7 +316,7 @@ class TestMixtureChecksum:
     def test_matches_naive_oracle(self, key, shape):
         rng = np.random.Generator(np.random.Philox(key=key))
         rc = RandomizedCircuit(random_circuit(*shape, rng))
-        assert _mixture_checksum(rc) == brute_checksum(mixture_distribution(rc).probs)
+        assert mixture_checksum(rc) == brute_checksum(mixture_distribution(rc).probs)
 
     def test_peak_memory_is_half_the_branches(self):
         # The held 2**(w+m-1) amplitudes, plus the block buffer, the half
@@ -322,7 +326,7 @@ class TestMixtureChecksum:
         rc = RandomizedCircuit(random_circuit(w, m, np.random.Generator(np.random.Philox(key=3))))
         tracemalloc.start()
         try:
-            _mixture_checksum(rc)
+            mixture_checksum(rc)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -342,7 +346,7 @@ class TestMixtureChecksum:
         with pytest.raises(ValueError, match="probability sum"):
             mixture_distribution(rc)
         with pytest.raises(ValueError, match="probability sum"):
-            _mixture_checksum(rc)
+            mixture_checksum(rc)
 
 
 class TestSbpGap:
@@ -610,6 +614,75 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
 
+# check_cap's one message, whichever demand it refuses.
+CAP_MESSAGE = re.compile(
+    r"(?P<demand>.+) (?P<size>\d+) exceeds the cap of (?P<cap>\d+) (?P<unit>qubits|draws); "
+    r"it needs (?P<need>2\*\*\d+|\d+) bytes"
+)
+
+
+def unreached(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the cap refused the request")
+
+    return fail
+
+
+class TestCapRefusal:
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: check_width(25), ("circuit width", 25, 24, "qubits", "2**29")),
+            (lambda: sorted_draws(0, SAMPLE_CAP + 1),
+             ("draw count", SAMPLE_CAP + 1, SAMPLE_CAP, "draws", 8 * (SAMPLE_CAP + 1))),
+            (lambda: check_copies(5, 5), ("5-copy width", 25, 22, "qubits", "2**28")),
+            (lambda: random_density_matrix(12, 0),
+             ("12-qubit density matrix's entry width", 24, 22, "qubits", "2**28")),
+            (lambda: mixture_checksum(RandomizedCircuit(Circuit(1, (Gate("H", (0,)),) * 21))),
+             ("ancilla width", 21, 20, "qubits", "2**26")),
+            (lambda: mixture_checksum(RandomizedCircuit(Circuit(5, (Gate("H", (0,)),) * 20))),
+             ("total width", 25, 24, "qubits", "2**29")),
+        ],
+        ids=["width", "draws", "copies", "density", "branches", "total-width"],
+    )
+    def test_one_message_format(self, make, expected):
+        with pytest.raises(CapExceeded) as exc:
+            make()
+        match = CAP_MESSAGE.fullmatch(str(exc.value))
+        assert match is not None, str(exc.value)
+        assert match.groups() == tuple(map(str, expected))
+
+    @pytest.mark.parametrize(
+        "argv, demand",
+        [
+            *(([name, "--circuit", "WIDE"], "circuit width 25")
+              for name in ("simulate", "depolarize", "certify", "thm1", "discriminate")),
+            (["depolarize", "--circuit", "BELL", "--samples", str(SAMPLE_CAP + 1)],
+             f"draw count {SAMPLE_CAP + 1}"),
+            (["discriminate", "--w", "12"], "12-qubit density matrix's entry width 24"),
+            (["discriminate", "--w", "5", "--k", "5"], "5-copy width 25"),
+        ],
+        ids=["simulate", "depolarize", "certify", "thm1", "discriminate",
+             "samples", "density", "copies"],
+    )
+    def test_refused_before_any_work(self, capsys, monkeypatch, tmp_path, bell_path, argv, demand):
+        wide = tmp_path / "wide.qc"
+        wide.write_text("qubits 25\nH 0\n")
+        for name in ("run", "zero_overlap", "output_distribution"):
+            monkeypatch.setattr(depolab.cli, name, unreached(name))
+        # sorted_draws and random_density_matrix hold the draw and density
+        # checks, so they may be entered; each starts its work with a Philox
+        # stream, which no refused request may reach.
+        monkeypatch.setattr(np.random, "Philox", unreached("a Philox stream"))
+        paths = {"WIDE": str(wide), "BELL": bell_path}
+        assert main([paths.get(a, a) for a in argv]) == 4
+        prefix, _, message = capsys.readouterr().err.rstrip("\n").partition("cap exceeded: ")
+        assert prefix == "depolab: "
+        match = CAP_MESSAGE.fullmatch(message)
+        assert match is not None, message
+        assert f"{match['demand']} {match['size']}" == demand
+
+
 @pytest.fixture(scope="module")
 def long_path(tmp_path_factory):
     # 10**5 gates on one qubit: round-off moves the norm by about 1.8e-12,
@@ -654,15 +727,15 @@ class TestDefaults:
 class TestImports:
     def test_private_names_from_other_modules(self):
         # The walk perfbench/traced_main.py wraps: every package function cli
-        # binds from another module.  Only these private names may be among
-        # them; ROADMAP item 11 gives the measured reason each one stays.
+        # binds from another module.  None may be private (ROADMAP item 11):
+        # every check and stream cli needs has a public name.
         private = {
             name
             for name, obj in vars(depolab.cli).items()
             if inspect.isfunction(obj) and name.startswith("_")
             and obj.__module__.startswith("depolab.") and obj.__module__ != depolab.cli.__name__
         }
-        assert private == {"_check_width", "_check_power_cap", "_mixture_rows"}
+        assert private == set()
 
 
 class TestReproducibility:

@@ -106,7 +106,9 @@ class TestMixture:
 
     def test_branch_cap(self):
         wide = Circuit(1, tuple(H0 for _ in range(21)))
-        with pytest.raises(CapExceeded, match=r"branches, 2\*\*26 bytes"):
+        # 21 steps are 21 ancilla qubits: 2**22 amplitudes of 16 bytes.
+        with pytest.raises(CapExceeded, match=r"^ancilla width 21 exceeds the cap of 20 qubits; "
+                                              r"it needs 2\*\*26 bytes$"):
             mixture_distribution(RandomizedCircuit(wide))
 
     def test_total_width_cap(self):

@@ -84,8 +84,10 @@ class TestDensityTypes:
         assert random_density_matrix(2.0, 0).width == 2
 
     def test_width_capped_before_allocating(self):
-        # 12 qubits: 2**24 complex entries, 2**28 bytes; the cap is 11 qubits.
-        with pytest.raises(CapExceeded, match=r"2\*\*28 bytes; the cap is 11 qubits"):
+        # 12 qubits: 2**24 complex entries (an entry width of 24 qubits), 2**28
+        # bytes; the cap of 22 admits 11 qubits.
+        with pytest.raises(CapExceeded, match=r"^12-qubit density matrix's entry width 24 exceeds "
+                                              r"the cap of 22 qubits; it needs 2\*\*28 bytes$"):
             random_density_matrix(12, 0)
 
     def test_maximally_mixed(self):
@@ -241,7 +243,8 @@ class TestHelstrom:
 
     def test_power_cap(self):
         # 25 qubits of float64 eigenvalues: 2**25 * 8 = 2**28 bytes.
-        with pytest.raises(CapExceeded, match=r"2\*\*28 bytes; the cap is 22 qubits"):
+        with pytest.raises(CapExceeded, match=r"^5-copy width 25 exceeds the cap of 22 qubits; "
+                                              r"it needs 2\*\*28 bytes$"):
             bound_chain(density(maximally_mixed(5)), 0.5, 5)
 
     def test_k_validated(self):

@@ -267,7 +267,8 @@ class TestZeroOverlap:
 class TestWidthCap:
     def test_default(self):
         assert WIDTH_CAP == 24
-        with pytest.raises(CapExceeded, match=r"width 25.* 2\*\*29 bytes"):
+        with pytest.raises(CapExceeded, match=r"^circuit width 25 exceeds the cap of 24 qubits; "
+                                               r"it needs 2\*\*29 bytes$"):
             run(Circuit(25, ()))
 
 
@@ -368,6 +369,10 @@ class TestTypes:
             (lambda: DensityMatrix(1, [0.0, 0.0], tol=1.0), "tol must lie in"),
             (lambda: Distribution(1, [0.5, 0.5], tol=np.nan), "tol must lie in"),
             (lambda: Distribution(1, [0.5, 0.5], tol=-1e-12), "tol must lie in"),
+            # A sum or norm that overflows reads as inf, refused without a RuntimeWarning.
+            (lambda: Distribution(1, [1e308, 1e308]), "sum inf is not 1 within"),
+            (lambda: DensityMatrix(1, [1e308, 1e308]), "trace inf is not 1 within"),
+            (lambda: StateVector(1, [1e200, 0.0]), "norm inf is not 1 within"),
         ],
         ids=[
             "nan-state",
@@ -379,6 +384,9 @@ class TestTypes:
             "tol1-density",
             "nan-tol",
             "negative-tol",
+            "overflow-distribution",
+            "overflow-density",
+            "overflow-state",
         ],
     )
     def test_nan_and_vacuous_tol_rejected(self, make, match):
