@@ -7,7 +7,8 @@
 Every row is the median wall time of 5 calls in this interpreter, after
 one untimed call (3 calls and none untimed for the multi-second rows, one
 call in --quick): the gate kernel by gate kind and width (seconds per
-gate), `run` on random circuits, depolarize and both certificates,
+gate), `run` on random circuits (one of them perfbench's `sim_deep` shape,
+18 qubits and 400 gates), depolarize and both certificates,
 `sample` (`tally` of fresh `sorted_draws`, as arrays) over a width x
 count grid next to the draw-order lookup it must not fall behind
 (tests/oracles.py), `mixture_distribution` by (w, m),
@@ -88,7 +89,7 @@ from oracles import draw_order_sample  # noqa: E402
 SCHEMA = "depolab-bench/6"
 KINDS = ("H", "S", "T", "X", "I1", "CNOT")
 FULL = {
-    "run": (16, 20, 22),
+    "run": ((16, 200), (18, 400), (20, 200), (22, 200)),  # (w, gates); 18, 400 as sim_deep
     "kernel": (18, 22),
     "certificates": 20,
     "sample_widths": (12, 16, 20, 22),
@@ -102,7 +103,7 @@ FULL = {
     "cold": (18, 400),
 }
 QUICK = {
-    "run": (10,),
+    "run": ((10, 200),),
     "kernel": (10,),
     "certificates": 10,
     "sample_widths": (8, 10),
@@ -189,9 +190,9 @@ def cases(sizes: dict, workdir: Path):
         for kind in KINDS:
             sweep, calls = kernel_sweep(w, kind)
             yield "kernel", f"{kind} w={w}", sweep, calls, False
-    for w in sizes["run"]:
-        circuit = random_circuit(w, 200, rng(w))
-        yield "run", f"200 gates w={w}", lambda c=circuit: run(c), 1, w >= 20
+    for w, m in sizes["run"]:
+        circuit = random_circuit(w, m, rng(w))
+        yield "run", f"{m} gates w={w}", lambda c=circuit: run(c), 1, w >= 20
     for w, m in sizes["mixture"]:
         rc = RandomizedCircuit(random_circuit(w, m, rng(w + m)))
         yield "mixture_distribution", f"w={w} m={m}", lambda r=rc: mixture_distribution(r), 1, w + m >= 24

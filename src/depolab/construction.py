@@ -47,12 +47,8 @@ import numpy as np
 from .circuits import Circuit, Gate
 from .depol import check_fidelity, check_positive_int
 from .errors import BRANCH_CAP, WIDTH_CAP, check_cap
-from .statevector import Distribution, _apply_gate_inplace, _check_unit, _squared_abs
+from .statevector import _BLOCK_AMPS, Distribution, _apply_gate_inplace, _check_unit, _squared_abs
 from .tolerances import EXACT_TOL
-
-# Branch rows advance this many amplitudes at a time (1 MiB of complex128),
-# so the kernel's scratch and the mixture's stream stay this small.
-_BLOCK_AMPS = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,16 @@ full 2x2 update.  Any C-contiguous array whose last axis is the amplitude
 index works, so a batch of states advances in one call.  Its one workspace,
 half the array, is allocated once per run: a gate allocates nothing.
 
+`run` moves no amplitude for X.  It keeps an index frame, an integer flip
+with amplitude i stored at i ^ flip: X toggles one bit of it, and the
+kernel pins each half by its stored bit.  A run of gates whose qubits all
+lie below log2(_BLOCK_AMPS) acts on each block of _BLOCK_AMPS contiguous
+amplitudes alone, so it goes a block at a time and each block stays in
+cache for the run; X and I1 on any qubit join a run.  The frame is undone
+once, at the end, in place.  Every amplitude still sees the same ufunc
+calls in the same order as gate by gate on the whole state, so the bytes
+are the same.
+
 No approximation anywhere: simulation is exact up to float round-off, and
 widths are capped at WIDTH_CAP qubits rather than degraded.  StateVector
 and Distribution keep the tol their norm or sum was checked within, and
@@ -27,6 +37,11 @@ from .errors import WIDTH_CAP, check_cap
 from .tolerances import EXACT_TOL
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+# Amplitudes per cache-sized block (1 MiB of complex128): run's gate runs
+# below qubit log2(_BLOCK_AMPS) go a block at a time, and the mixture
+# advances its branch rows in blocks of at most this many amplitudes.
+_BLOCK_AMPS = 1 << 16
 
 # Round-off bound per kernel step on the drift of sum |amplitude|^2, and so
 # of the norm.  I1, X, CNOT and S are exact: a swap, or a product by i that
@@ -119,9 +134,13 @@ def _pinned(bits: np.ndarray, width: int, *pins: tuple[int, int]) -> np.ndarray:
     return bits[(..., *index)]
 
 
-def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int, scratch: np.ndarray) -> None:
+def _apply_gate_inplace(
+    amps: np.ndarray, gate: Gate, width: int, scratch: np.ndarray, flip: int = 0
+) -> None:
     """Apply one gate to amps (last axis = amplitude index), in place, with
-    scratch (flat complex128, at least amps.size // 2) as its one workspace."""
+    scratch (flat complex128, at least amps.size // 2) as its one workspace.
+    flip is run's X frame: amplitude i is stored at index i ^ flip, so each
+    pin takes the stored value of its logical bit."""
     if not amps.flags.c_contiguous:
         # reshape would hand back a copy and the writes below would be lost.
         raise ValueError("the gate kernel needs a C-contiguous amplitude array")
@@ -129,9 +148,9 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int, scratch: np.nd
         return
     bits = amps.reshape(amps.shape[:-1] + (2,) * width)
     *controls, target = gate.targets  # CNOT acts where its control is 1
-    pins = [(control, 1) for control in controls]
-    a = _pinned(bits, width, *pins, (target, 0))
-    b = _pinned(bits, width, *pins, (target, 1))
+    pins = [(control, 1 ^ flip >> control & 1) for control in controls]
+    a = _pinned(bits, width, *pins, (target, flip >> target & 1))
+    b = _pinned(bits, width, *pins, (target, 1 ^ flip >> target & 1))
     t = scratch[: a.size].reshape(a.shape)  # an array even when 0-d
     if gate.kind in ("X", "CNOT"):
         # A ufunc tests overlap exactly; a[...] = b would copy b first.
@@ -157,17 +176,53 @@ def check_width(width: int) -> None:
     check_cap("circuit width", width, WIDTH_CAP, "qubits", f"2**{width + 4}")
 
 
+def _unflip(amps: np.ndarray, width: int, flip: int, scratch: np.ndarray) -> None:
+    """Undo run's X frame in place, so that amps[i] holds what was stored
+    at i ^ flip: the halves of the top flipped qubit swap, each reversed
+    along the other flipped qubits' axes, through half of scratch."""
+    if not flip:
+        return
+    top = flip.bit_length() - 1
+    rev = [slice(None, None, -1) if flip >> q & 1 else slice(None) for q in reversed(range(width))]
+    del rev[-1 - top]  # the axes of a half
+    bits = amps.reshape((2,) * width)
+    a, b = _pinned(bits, width, (top, 0)), _pinned(bits, width, (top, 1))
+    t = scratch[: a.size].reshape(a.shape)
+    np.copyto(t, a)
+    # Ufuncs, as in the kernel's swap: a[...] = b[rev] would copy b first.
+    np.positive(b[(..., *rev)], out=a)
+    np.positive(t[(..., *rev)], out=b)
+
+
 def run(circuit: Circuit) -> StateVector:
     """Simulate the circuit from |0...0> and return the final state, its
     norm checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
     check_width(circuit.width)
-    amps = np.zeros(1 << circuit.width, dtype=np.complex128)
+    w = circuit.width
+    k = min(w, _BLOCK_AMPS.bit_length() - 1)  # gates below qubit k stay in a block
+    amps = np.zeros(1 << w, dtype=np.complex128)
     amps[0] = 1.0
     scratch = np.empty(amps.size // 2, dtype=np.complex128)  # the one workspace
+    flip, pending = 0, []  # the X frame, and a run of (gate, flip) below qubit k
+
+    def flush():
+        for block in amps.reshape(-1, 1 << k):
+            for gate, frame in pending:
+                _apply_gate_inplace(block, gate, k, scratch, frame)
+        pending.clear()
+
     for g in circuit.gates:
-        _apply_gate_inplace(amps, g, circuit.width, scratch)
+        if g.kind == "X":
+            flip ^= 1 << g.targets[0]
+        elif max(g.targets) < k:
+            pending.append((g, flip))
+        elif g.kind != "I1":  # at or above qubit k: the run goes first
+            flush()
+            _apply_gate_inplace(amps, g, w, scratch, flip)
+    flush()
+    _unflip(amps, w, flip, scratch)
     del scratch  # freed before StateVector copies the amplitudes in
-    return StateVector(circuit.width, amps, tol=EXACT_TOL + GATE_ROUNDOFF * circuit.m)
+    return StateVector(w, amps, tol=EXACT_TOL + GATE_ROUNDOFF * circuit.m)
 
 
 def _squared_abs(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -6,8 +6,8 @@ explicit Kronecker products, per-branch enumeration, plain-Python loops
 over outcomes, a grid search over single-qubit measurements, dense
 k-copy tensor powers measured with an explicit projector, the generic
 2x2 gate kernel the package's kind-specialised one must match bit for
-bit, that kernel as it was when it allocated its own buffers per gate, a
-checksum that packs every float on its own, inverse-CDF sampling
+bit, that kernel as it was when it allocated its own buffers per gate,
+run's loop with it gate by gate on the whole state, a checksum that packs every float on its own, inverse-CDF sampling
 that looks up each draw in the order it was drawn, and a tally's total
 variation summed one outcome at a time.
 
@@ -250,6 +250,17 @@ def allocating_kernel(amps: np.ndarray, gate, width: int) -> None:
         np.add(q, p, out=b)
     else:
         b[...] = u[1, 1] * b
+
+
+def gate_by_gate_run(circuit) -> np.ndarray:
+    """run's amplitudes as its loop made them before X frames and blocked
+    runs: every gate on the whole state in circuit order, X a physical swap
+    of the halves, each through allocating_kernel."""
+    amps = np.zeros(1 << circuit.width, dtype=np.complex128)
+    amps[0] = 1.0
+    for g in circuit.gates:
+        allocating_kernel(amps, g, circuit.width)
+    return amps
 
 
 def loop_outcome_string(index: int, width: int) -> str:

@@ -16,9 +16,9 @@ seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 @st.composite
-def gates(draw, width: int) -> Gate:
-    kinds = list(ONE_QUBIT_KINDS) + (["CNOT"] if width >= 2 else [])
-    kind = draw(st.sampled_from(kinds))
+def gates(draw, width: int, kinds=ONE_QUBIT_KINDS + ("CNOT",)) -> Gate:
+    """One gate of kinds (repeat a kind to weight it); CNOT only for width >= 2."""
+    kind = draw(st.sampled_from([k for k in kinds if k != "CNOT" or width >= 2]))
     if kind == "CNOT":
         control = draw(st.integers(0, width - 1))
         target = draw(st.integers(0, width - 2))
@@ -29,9 +29,10 @@ def gates(draw, width: int) -> Gate:
 
 
 @st.composite
-def circuits(draw, min_width: int = 1, max_width: int = 5, max_gates: int = 10) -> Circuit:
+def circuits(draw, min_width: int = 1, max_width: int = 5, max_gates: int = 10,
+             kinds=ONE_QUBIT_KINDS + ("CNOT",)) -> Circuit:
     width = draw(st.integers(min_width, max_width))
-    gate_list = draw(st.lists(gates(width), max_size=max_gates))
+    gate_list = draw(st.lists(gates(width, kinds), max_size=max_gates))
     return Circuit(width, tuple(gate_list))
 
 

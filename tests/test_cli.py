@@ -33,12 +33,12 @@ from depolab import (
     serialize_circuit,
 )
 from depolab.cli import ExperimentConfig, main, run_experiment
-from depolab.construction import _BLOCK_AMPS, mixture_checksum
+from depolab.construction import mixture_checksum
 from depolab.depol import SAMPLE_CAP, sorted_draws
 from depolab.discrimination import check_copies, random_density_matrix
 from depolab.errors import CapExceeded
 from depolab.reports import render_json
-from depolab.statevector import check_width
+from depolab.statevector import _BLOCK_AMPS, check_width
 from oracles import brute_checksum, per_fidelity_depolarize
 from strategies import fidelities, gates, seeds
 

@@ -27,10 +27,11 @@ from oracles import (
     brute_amplitudes,
     brute_distribution,
     dense_unitary,
+    gate_by_gate_run,
     matrix_kernel,
     pure_density,
 )
-from strategies import circuits, seeds
+from strategies import ONE_QUBIT_KINDS, circuits, seeds
 
 S2 = 2.0**-0.5
 # numpy's strided ufunc loops buffer each operand in a fixed-size block
@@ -161,16 +162,19 @@ class TestKernelMatchesMatrixKernel:
 class TestKernelMatchesAllocatingKernel:
     """The workspace kernel against the allocating kernel it replaced, byte
     for byte: simulate reports zero_amplitude with its sign, so amplitudes
-    that compare equal but differ in a zero's sign are a regression."""
+    that compare equal but differ in a zero's sign are a regression.  Under
+    run's X frame, with amplitude i stored at i ^ flip, the kernel's flip
+    argument must give the same bytes on the stored array."""
 
     @given(
         circuits(max_width=10, max_gates=40),
         st.sampled_from(["zero", "dense", "signed-zero"]),
         st.sampled_from([(), (1,), (3,)]),
+        st.one_of(st.just(0), st.integers(0, 2**10 - 1)),
         seeds,
     )
     @settings(max_examples=200)
-    def test_same_bytes(self, circuit, start, batch, seed):
+    def test_same_bytes(self, circuit, start, batch, flip, seed):
         shape = batch + (1 << circuit.width,)
         rng = np.random.Generator(np.random.Philox(key=seed))
         if start == "zero":  # the simulate path: exact zeros everywhere but one
@@ -182,12 +186,74 @@ class TestKernelMatchesAllocatingKernel:
             parts = amps.view(np.float64)
             pick = rng.integers(3, size=parts.shape)
             parts[pick == 1], parts[pick == 2] = 0.0, -0.0
-        fast, slow = amps.copy(), amps.copy()
+        flip %= 1 << circuit.width
+        stored_at = np.arange(1 << circuit.width) ^ flip
+        fast, slow = np.ascontiguousarray(amps[..., stored_at]), amps.copy()
         scratch = workspace(fast)
         for g in circuit.gates:
-            _apply_gate_inplace(fast, g, circuit.width, scratch)
+            _apply_gate_inplace(fast, g, circuit.width, scratch, flip)
             allocating_kernel(slow, g, circuit.width)
-        assert fast.tobytes() == slow.tobytes()
+        assert fast[..., stored_at].tobytes() == slow.tobytes()
+
+
+EDGE = 3  # log2 of the block size the edge tests run at
+X_HEAVY = ("X", "X", "X", "H", "S", "T", "I1", "CNOT")
+
+
+@st.composite
+def edge_circuits(draw):
+    """Circuits that cross a block edge at qubit EDGE: X-heavy, with a CNOT
+    from above the edge to below it, an I1 above it, and X on one qubit
+    below and one above so the frame ends odd on both sides."""
+    circuit = draw(circuits(min_width=EDGE + 1, max_width=8, max_gates=30, kinds=X_HEAVY))
+    w, gates = circuit.width, list(circuit.gates)
+    low, high = draw(st.integers(0, EDGE - 1)), draw(st.integers(EDGE, w - 1))
+    for gate in (Gate("CNOT", (high, low)), Gate("I1", (high,))):
+        gates.insert(draw(st.integers(0, len(gates))), gate)
+    for q in (low, high):
+        if sum(g.kind == "X" and g.targets == (q,) for g in gates) % 2 == 0:
+            gates.append(Gate("X", (q,)))
+    return Circuit(w, tuple(gates))
+
+
+class TestRunMatchesGateByGate:
+    """run, with its X frame and its blocked gate runs, against every gate
+    on the whole state in circuit order, byte for byte."""
+
+    @given(
+        st.one_of(
+            circuits(max_width=8, max_gates=40),
+            circuits(max_width=8, max_gates=40, kinds=X_HEAVY),
+            edge_circuits(),
+        )
+    )
+    @settings(max_examples=300)
+    def test_same_bytes_across_the_block_edge(self, circuit):
+        # Blocks of 2**EDGE amplitudes, so widths past EDGE go block by block.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(depolab.statevector, "_BLOCK_AMPS", 1 << EDGE)
+            assert run(circuit).amps.tobytes() == gate_by_gate_run(circuit).tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "qubits 5\nX 4\nX 1\nCNOT 4 0\nH 0\nT 0\nI1 4\nS 1\nX 0\nH 4\n",  # odd frame both sides
+            "qubits 6\nH 5\nCNOT 5 1\nX 5\nH 1\nT 1\nCNOT 5 2\nX 2\nX 2\nH 2\n",  # control above
+            "qubits 4\n" + "X 0\nX 1\nX 2\nX 3\n" * 3,  # X alone: only the frame moves
+        ],
+        ids=["odd-frame", "cnot-down", "x-only"],
+    )
+    def test_pinned_edge_cases(self, monkeypatch, text):
+        circuit = parse_circuit(text)
+        monkeypatch.setattr(depolab.statevector, "_BLOCK_AMPS", 1 << EDGE)
+        assert run(circuit).amps.tobytes() == gate_by_gate_run(circuit).tobytes()
+
+    def test_real_block_size_at_w18(self):
+        # Two qubits above the 2**16-amplitude blocks, every gate kind.
+        circuit = random_circuit(18, 400, np.random.Generator(np.random.Philox(key=18)))
+        assert {g.kind for g in circuit.gates} == set(ONE_QUBIT_KINDS) | {"CNOT"}
+        assert max(max(g.targets) for g in circuit.gates) >= 16
+        assert run(circuit).amps.tobytes() == gate_by_gate_run(circuit).tobytes()
 
 
 class TestRun:
@@ -272,6 +338,26 @@ class TestWidthCap:
             run(Circuit(25, ()))
 
 
+def run_peaks(circuit, monkeypatch) -> tuple[int, int]:
+    """tracemalloc peaks of run(circuit): when StateVector is built, so at
+    the end of the gate loop and the frame's undo, and overall."""
+    real = depolab.statevector.StateVector
+    loop_peaks = []
+
+    def built(*args, **kwargs):
+        loop_peaks.append(tracemalloc.get_traced_memory()[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(depolab.statevector, "StateVector", built)
+    tracemalloc.start()
+    try:
+        run(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return loop_peaks[0], peak
+
+
 class TestRunMemory:
     def test_state_plus_half_a_state(self, monkeypatch):
         # The gate loop holds the state, its half-state workspace and
@@ -281,21 +367,23 @@ class TestRunMemory:
         w = 16
         state = 16 << w
         circuit = random_circuit(w, 100, np.random.Generator(np.random.Philox(key=w)))
-        real = depolab.statevector.StateVector
-        loop_peaks = []
+        loop_peak, peak = run_peaks(circuit, monkeypatch)
+        assert loop_peak <= 1.5 * state + LOOP_BUFFERS + 65536
+        assert peak <= 2.0 * state + 65536
 
-        def built(*args, **kwargs):
-            loop_peaks.append(tracemalloc.get_traced_memory()[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(depolab.statevector, "StateVector", built)
-        tracemalloc.start()
-        try:
-            run(circuit)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert loop_peaks[0] <= 1.5 * state + LOOP_BUFFERS + 65536
+    def test_blocked_runs_and_the_frame_add_nothing(self, monkeypatch):
+        # The same bounds with 2**12-amplitude blocks, and a frame left odd
+        # on qubits 3 and 14 and even on 15, so its undo, a swap of
+        # interleaved halves, is measured too.
+        w = 16
+        state = 16 << w
+        gates = random_circuit(w, 100, np.random.Generator(np.random.Philox(key=w))).gates
+        odd = {q for q in range(w) if sum(g == Gate("X", (q,)) for g in gates) % 2}
+        toggle = (odd ^ {3, 14}) & {3, 14, 15}
+        circuit = Circuit(w, gates + tuple(Gate("X", (q,)) for q in sorted(toggle)))
+        monkeypatch.setattr(depolab.statevector, "_BLOCK_AMPS", 1 << 12)
+        loop_peak, peak = run_peaks(circuit, monkeypatch)
+        assert loop_peak <= 1.5 * state + LOOP_BUFFERS + 65536
         assert peak <= 2.0 * state + 65536
 
 
