@@ -55,10 +55,9 @@ def check_fidelity(value: float) -> float:
 
 def check_seed(seed: int) -> int:
     """Validate a seed: an integer representable in 64 bits, not a bool."""
-    s = int(seed)
-    if s != seed or not 0 <= s < 2**64 or isinstance(seed, (bool, np.bool_)):
+    if isinstance(seed, (bool, np.bool_)) or not (0 <= seed < 2**64 and seed % 1 == 0):  # NaN and inf fail too
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return s
+    return int(seed)
 
 
 def check_positive_int(name: str, value: int) -> int:

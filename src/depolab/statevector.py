@@ -12,13 +12,13 @@ half the array, is allocated once per run: a gate allocates nothing.
 
 `run` moves no amplitude for X.  It keeps an index frame, an integer flip
 with amplitude i stored at i ^ flip: X toggles one bit of it, and the
-kernel pins each half by its stored bit.  A run of gates whose qubits all
-lie below log2(_BLOCK_AMPS) acts on each block of _BLOCK_AMPS contiguous
-amplitudes alone, so it goes a block at a time and each block stays in
-cache for the run; X and I1 on any qubit join a run.  The frame is undone
-once, at the end, in place.  Every amplitude still sees the same ufunc
-calls in the same order as gate by gate on the whole state, so the bytes
-are the same.
+kernel pins each half by its stored bit.  Every gate goes through _advance,
+a block of at most _BLOCK_AMPS amplitudes at a time (_blocks alone sets
+the size): a run of gates below qubit log2(_BLOCK_AMPS) as one list per
+block, any other gate on the whole state, and at the end one X swap per
+flipped qubit, which undoes the frame through the same workspace.  Every
+amplitude sees the same ufunc calls in the same order as gate by gate on
+the whole state, so the bytes are the same.
 
 No approximation anywhere: simulation is exact up to float round-off, and
 widths are capped at WIDTH_CAP qubits rather than degraded.  StateVector
@@ -29,6 +29,7 @@ compare and hash by identity (their arrays have no single truth value).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -38,9 +39,9 @@ from .tolerances import EXACT_TOL
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-# Amplitudes per cache-sized block (1 MiB of complex128): run's gate runs
-# below qubit log2(_BLOCK_AMPS) go a block at a time, and the mixture
-# advances its branch rows in blocks of at most this many amplitudes.
+# Amplitudes per cache-sized block (1 MiB of complex128), read by _blocks
+# alone: run's gate runs below qubit log2(_BLOCK_AMPS) and the mixture's
+# branch rows go in blocks of at most this many amplitudes.
 _BLOCK_AMPS = 1 << 16
 
 # Round-off bound per kernel step on the drift of sum |amplitude|^2, and so
@@ -176,22 +177,20 @@ def check_width(width: int) -> None:
     check_cap("circuit width", width, WIDTH_CAP, "qubits", f"2**{width + 4}")
 
 
-def _unflip(amps: np.ndarray, width: int, flip: int, scratch: np.ndarray) -> None:
-    """Undo run's X frame in place, so that amps[i] holds what was stored
-    at i ^ flip: the halves of the top flipped qubit swap, each reversed
-    along the other flipped qubits' axes, through half of scratch."""
-    if not flip:
-        return
-    top = flip.bit_length() - 1
-    rev = [slice(None, None, -1) if flip >> q & 1 else slice(None) for q in reversed(range(width))]
-    del rev[-1 - top]  # the axes of a half
-    bits = amps.reshape((2,) * width)
-    a, b = _pinned(bits, width, (top, 0)), _pinned(bits, width, (top, 1))
-    t = scratch[: a.size].reshape(a.shape)
-    np.copyto(t, a)
-    # Ufuncs, as in the kernel's swap: a[...] = b[rev] would copy b first.
-    np.positive(b[(..., *rev)], out=a)
-    np.positive(t[(..., *rev)], out=b)
+def _blocks(rows: np.ndarray, width: int):
+    """Views of rows, an (n, 2**width) array, in order: blocks of at most
+    _BLOCK_AMPS amplitudes, and at least one row."""
+    step = max(1, _BLOCK_AMPS >> width)
+    return (rows[start : start + step] for start in range(0, len(rows), step))
+
+
+def _advance(rows: np.ndarray, gates, width: int, scratch: np.ndarray) -> None:
+    """Apply each (gate, frame) pair to rows, a C-contiguous (n, 2**width)
+    array, in place: every gate to one block before the next, so a block
+    stays in cache for all of them."""
+    for block in _blocks(rows, width):
+        for gate, frame in gates:
+            _apply_gate_inplace(block, gate, width, scratch, frame)
 
 
 def run(circuit: Circuit) -> StateVector:
@@ -200,27 +199,19 @@ def run(circuit: Circuit) -> StateVector:
     check_width(circuit.width)
     w = circuit.width
     k = min(w, _BLOCK_AMPS.bit_length() - 1)  # gates below qubit k stay in a block
-    amps = np.zeros(1 << w, dtype=np.complex128)
-    amps[0] = 1.0
-    scratch = np.empty(amps.size // 2, dtype=np.complex128)  # the one workspace
-    flip, pending = 0, []  # the X frame, and a run of (gate, flip) below qubit k
-
-    def flush():
-        for block in amps.reshape(-1, 1 << k):
-            for gate, frame in pending:
-                _apply_gate_inplace(block, gate, k, scratch, frame)
-        pending.clear()
-
+    flip, steps = 0, []  # the X frame, and each other gate with the frame it met
     for g in circuit.gates:
         if g.kind == "X":
             flip ^= 1 << g.targets[0]
-        elif max(g.targets) < k:
-            pending.append((g, flip))
-        elif g.kind != "I1":  # at or above qubit k: the run goes first
-            flush()
-            _apply_gate_inplace(amps, g, w, scratch, flip)
-    flush()
-    _unflip(amps, w, flip, scratch)
+        elif g.kind != "I1":
+            steps.append((g, flip))
+    steps += [(Gate("X", (q,)), 0) for q in range(w) if flip >> q & 1]  # the frame's undo
+    amps = np.zeros(1 << w, dtype=np.complex128)
+    amps[0] = 1.0
+    scratch = np.empty(amps.size // 2, dtype=np.complex128)  # the one workspace
+    for low, group in groupby(steps, key=lambda step: max(step[0].targets) < k):
+        width = k if low else w  # a gate at or above qubit k takes the whole state
+        _advance(amps.reshape(-1, 1 << width), list(group), width, scratch)
     del scratch  # freed before StateVector copies the amplitudes in
     return StateVector(w, amps, tol=EXACT_TOL + GATE_ROUNDOFF * circuit.m)
 

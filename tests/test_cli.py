@@ -20,7 +20,6 @@ import pytest
 from hypothesis import example, given, settings
 
 import depolab.cli
-import depolab.construction
 import depolab.statevector
 from depolab import (
     Circuit,
@@ -335,13 +334,13 @@ class TestMixtureChecksum:
     def test_sum_is_checked_on_both_routes(self, monkeypatch):
         # A kernel that grows every amplitude by 1e-6 breaks the unit sum
         # far past EXACT_TOL: the stream refuses it as Distribution does.
-        real = depolab.construction._apply_gate_inplace
+        real = depolab.statevector._apply_gate_inplace
 
-        def drifting(amps, gate, width, scratch):
-            real(amps, gate, width, scratch)
+        def drifting(amps, gate, width, scratch, flip):
+            real(amps, gate, width, scratch, flip)
             amps *= 1 + 1e-6
 
-        monkeypatch.setattr(depolab.construction, "_apply_gate_inplace", drifting)
+        monkeypatch.setattr(depolab.statevector, "_apply_gate_inplace", drifting)
         rc = RandomizedCircuit(random_circuit(3, 6, np.random.Generator(np.random.Philox(key=1))))
         with pytest.raises(ValueError, match="probability sum"):
             mixture_distribution(rc)

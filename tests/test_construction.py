@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-import depolab.construction
+import depolab.statevector
 from depolab import (
     CapExceeded,
     Circuit,
@@ -96,12 +96,13 @@ class TestMixture:
     @pytest.mark.parametrize("rows", [1, 3, 7])
     @pytest.mark.parametrize("shape", [(1, 9), (4, 8), (12, 3)])
     def test_block_size_leaves_every_bit(self, monkeypatch, rows, shape):
-        # Blocks of 1, 3 or 7 branch rows, so blocks straddle the halves of
-        # a doubling step, give the bytes of the default block size.
+        # Blocks of 1, 3 or 7 branch rows, in the doubling halves and the
+        # last step alike (statevector's _blocks sizes both), give the
+        # bytes of the default block size.
         rng = np.random.Generator(np.random.Philox(key=rows))
         rc = RandomizedCircuit(random_circuit(*shape, rng))
         whole = mixture_distribution(rc).probs
-        monkeypatch.setattr(depolab.construction, "_BLOCK_AMPS", rows << shape[0])
+        monkeypatch.setattr(depolab.statevector, "_BLOCK_AMPS", rows << shape[0])
         assert mixture_distribution(rc).probs.tobytes() == whole.tobytes()
 
     def test_branch_cap(self):

@@ -77,6 +77,19 @@ def test_bools_are_not_integers(call):
         call()
 
 
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", [
+    check_seed,
+    lambda seed: sorted_draws(seed, 10),
+    lambda seed: random_density_matrix(2, seed),
+], ids=["check_seed", "sorted_draws", "random_density_matrix"])
+def test_non_finite_seeds_are_refused(call, bad):
+    # inf and NaN have no int value: refused with the validator's own message.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        call(bad)
+
+
 class TestFidelity:
     @pytest.mark.parametrize("bad", [-0.1, 1.0000001, float("nan")])
     def test_rejects(self, bad):

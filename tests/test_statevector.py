@@ -255,6 +255,16 @@ class TestRunMatchesGateByGate:
         assert max(max(g.targets) for g in circuit.gates) >= 16
         assert run(circuit).amps.tobytes() == gate_by_gate_run(circuit).tobytes()
 
+    def test_real_block_size_frame_undo_at_w18(self):
+        # The frame ends odd on qubits 2 and 9, inside a block, and on 16
+        # and 17, above it: both undo routes, the blocked swaps and the
+        # whole-state swaps, at the real block size.
+        gates = random_circuit(18, 200, np.random.Generator(np.random.Philox(key=27))).gates
+        odd = {q for q in range(18) if sum(g == Gate("X", (q,)) for g in gates) % 2}
+        toggle = odd ^ {2, 9, 16, 17}
+        circuit = Circuit(18, gates + tuple(Gate("X", (q,)) for q in sorted(toggle)))
+        assert run(circuit).amps.tobytes() == gate_by_gate_run(circuit).tobytes()
+
 
 class TestRun:
     def test_bell(self, bell_circuit):
@@ -373,8 +383,9 @@ class TestRunMemory:
 
     def test_blocked_runs_and_the_frame_add_nothing(self, monkeypatch):
         # The same bounds with 2**12-amplitude blocks, and a frame left odd
-        # on qubits 3 and 14 and even on 15, so its undo, a swap of
-        # interleaved halves, is measured too.
+        # on qubits 3 and 14 and even on 15, so its undo, a blocked swap on
+        # qubit 3 and a whole-state swap on 14 through the one workspace,
+        # is measured too.
         w = 16
         state = 16 << w
         gates = random_circuit(w, 100, np.random.Generator(np.random.Philox(key=w))).gates
