@@ -6,9 +6,11 @@
 
 Every row is the median wall time of 5 calls in this interpreter, after
 one untimed call (3 calls and none untimed for the multi-second rows, one
-call in --quick): the gate kernel by gate kind and width (seconds per
-gate), `run` on random circuits (one of them perfbench's `sim_deep` shape,
-18 qubits and 400 gates), depolarize and both certificates,
+call in --quick): the gate kernel by gate kind, width and target qubit
+(the lowest, middle and top one), `run` on random circuits (one of them
+perfbench's `sim_deep` shape, 18 qubits and 400 gates, and one with X
+gates appended until the frame is odd on every qubit), depolarize and
+both certificates,
 `sample` (`tally` of fresh `sorted_draws`, as arrays) over a width x
 count grid next to the draw-order lookup it must not fall behind
 (tests/oracles.py), `mixture_distribution` by (w, m),
@@ -64,6 +66,7 @@ BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")  # as numpy loads it
 
 import numpy as np  # noqa: E402
 from depolab import (  # noqa: E402
+    Circuit,
     Distribution,
     Gate,
     RandomizedCircuit,
@@ -90,6 +93,7 @@ SCHEMA = "depolab-bench/6"
 KINDS = ("H", "S", "T", "X", "I1", "CNOT")
 FULL = {
     "run": ((16, 200), (18, 400), (20, 200), (22, 200)),  # (w, gates); 18, 400 as sim_deep
+    "odd_frame": (22, 200),
     "kernel": (18, 22),
     "certificates": 20,
     "sample_widths": (12, 16, 20, 22),
@@ -104,6 +108,7 @@ FULL = {
 }
 QUICK = {
     "run": ((10, 200),),
+    "odd_frame": (10, 200),
     "kernel": (10,),
     "certificates": 10,
     "sample_widths": (8, 10),
@@ -128,48 +133,42 @@ def random_distribution(width: int) -> Distribution:
     return Distribution(width, probs / probs.sum())
 
 
-def kernel_sweep(width: int, kind: str):
-    """One application of the gate on the lowest, middle and top qubit (a
-    CNOT controlled by the next qubit up), on a dense state, with the
-    workspace allocated outside the sweep as `run` allocates it."""
+def kernel_gates(width: int, kind: str):
+    """(target, callable) for one application of the gate on the lowest,
+    middle and top qubit (a CNOT controlled by the next qubit up), on one
+    dense state, with the workspace allocated outside the timing as `run`
+    allocates it."""
     amps = np.full(1 << width, 2.0 ** (-width / 2), dtype=np.complex128)
-    scratch = np.full(amps.size // 2, 0.0, dtype=np.complex128)  # touched here, not in the sweep
-    gates = [
-        Gate(kind, ((t + 1) % width, t) if kind == "CNOT" else (t,))
-        for t in sorted({0, width // 2, width - 1})
-    ]
-
-    def sweep():
-        for g in gates:
-            _apply_gate_inplace(amps, g, width, scratch)
-
-    return sweep, len(gates)
+    scratch = np.full(amps.size // 2, 0.0, dtype=np.complex128)  # touched here, not in the timing
+    for t in sorted({0, width // 2, width - 1}):
+        gate = Gate(kind, ((t + 1) % width, t) if kind == "CNOT" else (t,))
+        yield t, lambda g=gate: _apply_gate_inplace(amps, g, width, scratch)
 
 
 def cases(sizes: dict, workdir: Path):
-    """Yield (layer, case, callable, calls per timing, heavy).  The layers
+    """Yield (layer, case, callable, heavy).  The layers
     that run the gate kernel come last: the large arrays it frees leave
     the allocator in a state that moved later rows by a factor of 2-3
     (depolarize at w = 20 read 6.6 ms after the kernel rows, 2.4 ms alone)."""
     dist = random_distribution(sizes["certificates"])
     case = f"w={dist.width}"
-    yield "depolarize", case, lambda: depolarize(dist, 0.25), 1, False
-    yield "additive_certificate", case, lambda: additive_certificate(dist, 0.25), 1, False
-    yield "multiplicative_certificate", case, lambda: multiplicative_certificate(dist, 0.25), 1, False
+    yield "depolarize", case, lambda: depolarize(dist, 0.25), False
+    yield "additive_certificate", case, lambda: additive_certificate(dist, 0.25), False
+    yield "multiplicative_certificate", case, lambda: multiplicative_certificate(dist, 0.25), False
     for w in sizes["sample_widths"]:
         dist = random_distribution(w)
         for count in sizes["sample_counts"]:
             case = f"w={w} count={count}"
-            yield "sample", case, lambda d=dist, n=count: tally(d, sorted_draws(1, n)), 1, False
-            yield "sample_draw_order", case, lambda d=dist, n=count: draw_order_sample(d, 1, n), 1, False
+            yield "sample", case, lambda d=dist, n=count: tally(d, sorted_draws(1, n)), False
+            yield "sample_draw_order", case, lambda d=dist, n=count: draw_order_sample(d, 1, n), False
     for w, k in sizes["chain"]:
         state = run(random_circuit(w, 20, rng(w)))
-        yield "bound_chain", f"pure w={w} k={k}", lambda s=state, k=k: bound_chain(s, 0.25, k), 1, False
+        yield "bound_chain", f"pure w={w} k={k}", lambda s=state, k=k: bound_chain(s, 0.25, k), False
     w = sizes["density"]
-    yield "random_density_matrix", f"w={w}", lambda: random_density_matrix(w, 1), 1, True
+    yield "random_density_matrix", f"w={w}", lambda: random_density_matrix(w, 1), True
     w, m = sizes["parse"]
     text = serialize_circuit(random_circuit(w, m, rng(m)))
-    yield "parse_circuit", f"{m} gates w={w}", lambda: parse_circuit(text), 1, True
+    yield "parse_circuit", f"{m} gates w={w}", lambda: parse_circuit(text), True
     w, count = sizes["tally"]
     path = workdir / "tally.qc"
     path.write_text(
@@ -180,25 +179,31 @@ def cases(sizes: dict, workdir: Path):
         subcommand="depolarize", circuit_path=str(path), fidelity_grid=(0.25, 0.5, 0.9),
         seed=1, samples=count,
     )
-    yield "depolarize_grid", f"w={w} 3 fidelities samples={count}", lambda: run_experiment(config), 1, False
+    yield "depolarize_grid", f"w={w} 3 fidelities samples={count}", lambda: run_experiment(config), False
     report = run_experiment(config)
-    yield "reports._check", f"depolarize w={w} samples={count}", lambda: _check(report), 1, False
-    yield "render_json", f"depolarize w={w} samples={count}", lambda: render_json(report), 1, False
+    yield "reports._check", f"depolarize w={w} samples={count}", lambda: _check(report), False
+    yield "render_json", f"depolarize w={w} samples={count}", lambda: render_json(report), False
     yield ("render_json", f"depolarize w={w} samples={count} to devnull",
-           lambda: render_to_devnull(report), 1, False)
+           lambda: render_to_devnull(report), False)
     for w in sizes["kernel"]:
         for kind in KINDS:
-            sweep, calls = kernel_sweep(w, kind)
-            yield "kernel", f"{kind} w={w}", sweep, calls, False
+            for t, apply in kernel_gates(w, kind):
+                yield "kernel", f"{kind} w={w} q={t}", apply, False
     for w, m in sizes["run"]:
         circuit = random_circuit(w, m, rng(w))
-        yield "run", f"{m} gates w={w}", lambda c=circuit: run(c), 1, w >= 20
+        yield "run", f"{m} gates w={w}", lambda c=circuit: run(c), w >= 20
+    # The same random gates as above, then X on each qubit they leave even.
+    w, m = sizes["odd_frame"]
+    gates = random_circuit(w, m, rng(w)).gates
+    even = [q for q in range(w) if sum(g == Gate("X", (q,)) for g in gates) % 2 == 0]
+    circuit = Circuit(w, gates + tuple(Gate("X", (q,)) for q in even))
+    yield "run", f"{m} gates w={w} odd frame", lambda: run(circuit), w >= 20
     for w, m in sizes["mixture"]:
         rc = RandomizedCircuit(random_circuit(w, m, rng(w + m)))
-        yield "mixture_distribution", f"w={w} m={m}", lambda r=rc: mixture_distribution(r), 1, w + m >= 24
+        yield "mixture_distribution", f"w={w} m={m}", lambda r=rc: mixture_distribution(r), w + m >= 24
     w, m = sizes["checksum"]
     rc = RandomizedCircuit(random_circuit(w, m, rng(w + m)))
-    yield "mixture_checksum", f"w={w} m={m}", lambda: mixture_checksum(rc), 1, False
+    yield "mixture_checksum", f"w={w} m={m}", lambda: mixture_checksum(rc), False
 
 
 # The child of cold_run: the first `run` after import, its seconds and the
@@ -249,14 +254,14 @@ def peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def median_seconds(fn, calls: int, repeats: int, warm_up: bool) -> float:
+def median_seconds(fn, repeats: int, warm_up: bool) -> float:
     if warm_up:  # first-touch pages and caches; too dear for the heavy rows
         fn()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
-        times.append((time.perf_counter() - start) / calls)
+        times.append(time.perf_counter() - start)
     return statistics.median(times)
 
 
@@ -314,9 +319,9 @@ def main() -> None:
         print(f"{layer:<27} {case:<26} {median * 1e3:>11.3f} ms{note}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
-        for layer, case, fn, calls, heavy in cases(QUICK if args.quick else FULL, Path(tmp)):
+        for layer, case, fn, heavy in cases(QUICK if args.quick else FULL, Path(tmp)):
             runs = min(repeats, HEAVY_REPEATS) if heavy else repeats
-            median = median_seconds(fn, calls, runs, not heavy)
+            median = median_seconds(fn, runs, not heavy)
             extra = {"peak_bytes": peak_bytes(fn)} if layer == "random_density_matrix" else {}
             record(layer, case, median, runs, **extra)
     width, gates = (QUICK if args.quick else FULL)["cold"]

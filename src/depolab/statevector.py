@@ -11,14 +11,14 @@ index works, so a batch of states advances in one call.  Its one workspace,
 half the array, is allocated once per run: a gate allocates nothing.
 
 `run` moves no amplitude for X.  It keeps an index frame, an integer flip
-with amplitude i stored at i ^ flip: X toggles one bit of it, and the
-kernel pins each half by its stored bit.  Every gate goes through _advance,
-a block of at most _BLOCK_AMPS amplitudes at a time (_blocks alone sets
-the size): a run of gates below qubit log2(_BLOCK_AMPS) as one list per
-block, any other gate on the whole state, and at the end one X swap per
-flipped qubit, which undoes the frame through the same workspace.  Every
-amplitude sees the same ufunc calls in the same order as gate by gate on
-the whole state, so the bytes are the same.
+with amplitude i stored at i ^ flip, and each gate meets the frame of the
+X gates after it: |0...0> starts at the XOR of every X target and the
+frame ends at 0, so nothing is left to undo.  The kernel pins each half by
+its stored bit.  Every gate goes through _advance, a block of at most
+_BLOCK_AMPS amplitudes at a time (_blocks alone sets the size): a run of
+gates below qubit log2(_BLOCK_AMPS) as one list per block, and any other
+gate on the whole state.  Every amplitude sees the same ufunc calls in the
+same order as gate by gate on the whole state, so the bytes are the same.
 
 No approximation anywhere: simulation is exact up to float round-off, and
 widths are capped at WIDTH_CAP qubits rather than degraded.  StateVector
@@ -199,17 +199,16 @@ def run(circuit: Circuit) -> StateVector:
     check_width(circuit.width)
     w = circuit.width
     k = min(w, _BLOCK_AMPS.bit_length() - 1)  # gates below qubit k stay in a block
-    flip, steps = 0, []  # the X frame, and each other gate with the frame it met
-    for g in circuit.gates:
+    flip, steps = 0, []  # the X frame, and each other gate with the X frame after it
+    for g in reversed(circuit.gates):
         if g.kind == "X":
             flip ^= 1 << g.targets[0]
         elif g.kind != "I1":
             steps.append((g, flip))
-    steps += [(Gate("X", (q,)), 0) for q in range(w) if flip >> q & 1]  # the frame's undo
     amps = np.zeros(1 << w, dtype=np.complex128)
-    amps[0] = 1.0
+    amps[flip] = 1.0  # |0...0> in the frame of every X, so the frame ends at 0
     scratch = np.empty(amps.size // 2, dtype=np.complex128)  # the one workspace
-    for low, group in groupby(steps, key=lambda step: max(step[0].targets) < k):
+    for low, group in groupby(reversed(steps), key=lambda step: max(step[0].targets) < k):
         width = k if low else w  # a gate at or above qubit k takes the whole state
         _advance(amps.reshape(-1, 1 << width), list(group), width, scratch)
     del scratch  # freed before StateVector copies the amplitudes in

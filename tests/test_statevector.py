@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from depolab import (
     parse_circuit,
     random_circuit,
     run,
+    serialize_circuit,
     zero_overlap,
 )
 import depolab.statevector
@@ -33,6 +39,7 @@ from oracles import (
 )
 from strategies import ONE_QUBIT_KINDS, circuits, seeds
 
+ROOT = Path(__file__).resolve().parents[1]
 S2 = 2.0**-0.5
 # numpy's strided ufunc loops buffer each operand in a fixed-size block
 # (np.getbufsize() items), whatever the array's size.
@@ -216,6 +223,31 @@ def edge_circuits(draw):
     return Circuit(w, tuple(gates))
 
 
+def recorded_run(circuit, monkeypatch) -> tuple[np.ndarray, set]:
+    """run(circuit)'s amplitudes, and each (gate, frame) it hands the kernel."""
+    real = depolab.statevector._apply_gate_inplace
+    calls = set()
+
+    def recording(amps, gate, width, scratch, flip):
+        calls.add((gate, flip))
+        real(amps, gate, width, scratch, flip)
+
+    monkeypatch.setattr(depolab.statevector, "_apply_gate_inplace", recording)
+    return run(circuit).amps, calls
+
+
+def frames_after(circuit) -> set:
+    """Each gate but X and I1 with the XOR of the X targets after it: the
+    frame that ends at 0, so nothing is undone and no X reaches the kernel."""
+    steps, flip = set(), 0
+    for g in reversed(circuit.gates):
+        if g.kind == "X":
+            flip ^= 1 << g.targets[0]
+        elif g.kind != "I1":
+            steps.add((g, flip))
+    return steps
+
+
 class TestRunMatchesGateByGate:
     """run, with its X frame and its blocked gate runs, against every gate
     on the whole state in circuit order, byte for byte."""
@@ -246,7 +278,18 @@ class TestRunMatchesGateByGate:
     def test_pinned_edge_cases(self, monkeypatch, text):
         circuit = parse_circuit(text)
         monkeypatch.setattr(depolab.statevector, "_BLOCK_AMPS", 1 << EDGE)
-        assert run(circuit).amps.tobytes() == gate_by_gate_run(circuit).tobytes()
+        amps, calls = recorded_run(circuit, monkeypatch)
+        assert amps.tobytes() == gate_by_gate_run(circuit).tobytes()
+        assert calls == frames_after(circuit)
+
+    def test_x_heavy_frames_at_w18(self, monkeypatch):
+        # An X after every gate of a random circuit, at the real block size.
+        rng = np.random.Generator(np.random.Philox(key=28))
+        gates = []
+        for g in random_circuit(18, 200, rng).gates:
+            gates += [g, Gate("X", (int(rng.integers(18)),))]
+        circuit = Circuit(18, tuple(gates))
+        assert recorded_run(circuit, monkeypatch)[1] == frames_after(circuit)
 
     def test_real_block_size_at_w18(self):
         # Two qubits above the 2**16-amplitude blocks, every gate kind.
@@ -256,14 +299,63 @@ class TestRunMatchesGateByGate:
         assert run(circuit).amps.tobytes() == gate_by_gate_run(circuit).tobytes()
 
     def test_real_block_size_frame_undo_at_w18(self):
-        # The frame ends odd on qubits 2 and 9, inside a block, and on 16
-        # and 17, above it: both undo routes, the blocked swaps and the
-        # whole-state swaps, at the real block size.
+        # The X gates flip qubits 2 and 9, inside a block, and 16 and 17,
+        # above it, an odd number of times: |0...0> starts off index 0 on
+        # both sides of the block edge, and the frame the early gates meet
+        # has bits in a block and above it, at the real block size.
         gates = random_circuit(18, 200, np.random.Generator(np.random.Philox(key=27))).gates
         odd = {q for q in range(18) if sum(g == Gate("X", (q,)) for g in gates) % 2}
         toggle = odd ^ {2, 9, 16, 17}
         circuit = Circuit(18, gates + tuple(Gate("X", (q,)) for q in sorted(toggle)))
         assert run(circuit).amps.tobytes() == gate_by_gate_run(circuit).tobytes()
+
+
+# One T-free circuit through run and distribution_of, in a child whose
+# numpy may be held to a lower dispatch level; prints the features it ran
+# with and a hash of both arrays.
+DISPATCH_CHILD = """
+import hashlib, json, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+from depolab import parse_circuit, run
+from depolab.statevector import distribution_of
+state = run(parse_circuit(sys.stdin.read()))
+digest = hashlib.sha256(state.amps.tobytes() + distribution_of(state).probs.tobytes())
+print(json.dumps({"features": __cpu_features__, "sha256": digest.hexdigest()}))
+"""
+
+
+def dispatch_run(text: str, disabled: str | None) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    proc = subprocess.run([sys.executable, "-c", DISPATCH_CHILD], input=text, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestDispatchLevel:
+    @pytest.mark.parametrize("disabled", ["X86_V4", "X86_V4 X86_V3"])
+    def test_t_free_bytes_do_not_depend_on_it(self, disabled):
+        # X-heavy with CNOTs and no T: T's product rounds differently once
+        # X86_V3 is off, which is ROADMAP item 1, so it stays out of here.
+        rng = np.random.Generator(np.random.Philox(key=16))
+        kinds = ("X", "X", "X", "H", "S", "I1", "CNOT")
+        gates = []
+        for kind in (kinds[i] for i in rng.integers(len(kinds), size=400)):
+            qubits = rng.choice(16, 2 if kind == "CNOT" else 1, replace=False)
+            gates.append(Gate(kind, tuple(int(q) for q in qubits)))
+        text = serialize_circuit(Circuit(16, tuple(gates)))
+        lowered = dispatch_run(text, disabled)
+        features = lowered["features"]
+        if any(features.get(name, True) for name in disabled.split()):
+            pytest.skip(f"NPY_DISABLE_CPU_FEATURES={disabled!r} did not take effect")
+        assert dispatch_run(text, None)["sha256"] == lowered["sha256"]
 
 
 class TestRun:
@@ -350,7 +442,7 @@ class TestWidthCap:
 
 def run_peaks(circuit, monkeypatch) -> tuple[int, int]:
     """tracemalloc peaks of run(circuit): when StateVector is built, so at
-    the end of the gate loop and the frame's undo, and overall."""
+    the end of the gate loop, and overall."""
     real = depolab.statevector.StateVector
     loop_peaks = []
 
@@ -382,10 +474,9 @@ class TestRunMemory:
         assert peak <= 2.0 * state + 65536
 
     def test_blocked_runs_and_the_frame_add_nothing(self, monkeypatch):
-        # The same bounds with 2**12-amplitude blocks, and a frame left odd
-        # on qubits 3 and 14 and even on 15, so its undo, a blocked swap on
-        # qubit 3 and a whole-state swap on 14 through the one workspace,
-        # is measured too.
+        # The same bounds with 2**12-amplitude blocks, and X gates left odd
+        # on qubits 3 and 14 and even on 15, so the frame starts with a bit
+        # inside a block and one above it, and |0...0> starts off index 0.
         w = 16
         state = 16 << w
         gates = random_circuit(w, 100, np.random.Generator(np.random.Philox(key=w))).gates
