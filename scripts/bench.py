@@ -8,9 +8,10 @@ Every row is the median wall time of 5 calls in this interpreter, after
 one untimed call (3 calls and none untimed for the multi-second rows, one
 call in --quick): the gate kernel by gate kind, width and target qubit
 (the lowest, middle and top one), `run` on random circuits (one of them
-perfbench's `sim_deep` shape, 18 qubits and 400 gates, and one with X
-gates appended until the frame is odd on every qubit), depolarize and
-both certificates,
+perfbench's `sim_deep` shape, 18 qubits and 400 gates, one with X gates
+appended until the frame is odd on every qubit, and one of H, S, T and
+CNOT gates on the top six qubits only, 16-21 of 22, whose rows grow with
+the top qubit), depolarize and both certificates,
 `sample` (`tally` of fresh `sorted_draws`, as arrays) over a width x
 count grid next to the draw-order lookup it must not fall behind
 (tests/oracles.py), `mixture_distribution` by (w, m),
@@ -94,6 +95,7 @@ KINDS = ("H", "S", "T", "X", "I1", "CNOT")
 FULL = {
     "run": ((16, 200), (18, 400), (20, 200), (22, 200)),  # (w, gates); 18, 400 as sim_deep
     "odd_frame": (22, 200),
+    "high_run": (22, 200, 16),  # (w, gates, lowest qubit)
     "kernel": (18, 22),
     "certificates": 20,
     "sample_widths": (12, 16, 20, 22),
@@ -109,6 +111,7 @@ FULL = {
 QUICK = {
     "run": ((10, 200),),
     "odd_frame": (10, 200),
+    "high_run": (10, 200, 6),
     "kernel": (10,),
     "certificates": 10,
     "sample_widths": (8, 10),
@@ -142,7 +145,7 @@ def kernel_gates(width: int, kind: str):
     scratch = np.full(amps.size // 2, 0.0, dtype=np.complex128)  # touched here, not in the timing
     for t in sorted({0, width // 2, width - 1}):
         gate = Gate(kind, ((t + 1) % width, t) if kind == "CNOT" else (t,))
-        yield t, lambda g=gate: _apply_gate_inplace(amps, g, width, scratch)
+        yield t, lambda g=gate: _apply_gate_inplace(amps, g, scratch)
 
 
 def cases(sizes: dict, workdir: Path):
@@ -198,6 +201,15 @@ def cases(sizes: dict, workdir: Path):
     even = [q for q in range(w) if sum(g == Gate("X", (q,)) for g in gates) % 2 == 0]
     circuit = Circuit(w, gates + tuple(Gate("X", (q,)) for q in even))
     yield "run", f"{m} gates w={w} odd frame", lambda: run(circuit), w >= 20
+    # H, S, T and CNOT on the qubits from `low` up only.
+    w, m, low = sizes["high_run"]
+    r = rng(w + low)
+    high = []
+    for kind in r.choice(["H", "S", "T", "CNOT"], size=m):
+        qubits = r.choice(np.arange(low, w), size=2 if kind == "CNOT" else 1, replace=False)
+        high.append(Gate(str(kind), tuple(map(int, qubits))))
+    circuit_high = Circuit(w, tuple(high))
+    yield "run", f"{m} gates w={w} q={low}-{w - 1}", lambda: run(circuit_high), w >= 20
     for w, m in sizes["mixture"]:
         rc = RandomizedCircuit(random_circuit(w, m, rng(w + m)))
         yield "mixture_distribution", f"w={w} m={m}", lambda r=rc: mixture_distribution(r), w + m >= 24

@@ -20,7 +20,6 @@ __version__ = "0.12.0"
 from .circuits import (
     Circuit,
     Gate,
-    gate,
     outcome_string,
     parse_circuit,
     random_circuit,
@@ -87,7 +86,6 @@ __all__ = [
     "depolarize",
     "depolarized_acceptance",
     "empirical_tv",
-    "gate",
     "hardness_gap",
     "mixture_distribution",
     "multiplicative_certificate",

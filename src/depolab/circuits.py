@@ -75,11 +75,6 @@ class Circuit:
         return len(self.gates)
 
 
-def gate(kind: str, *targets: int) -> Gate:
-    """Shorthand constructor: gate("CNOT", 0, 1)."""
-    return Gate(kind, tuple(targets))
-
-
 def _is_index(x) -> bool:
     """A width or qubit index: an int or numpy integer, never a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)

@@ -47,7 +47,7 @@ import numpy as np
 from .circuits import Circuit, Gate
 from .depol import check_fidelity, check_positive_int
 from .errors import BRANCH_CAP, WIDTH_CAP, check_cap
-from .statevector import Distribution, _advance, _blocks, _check_unit, _squared_abs
+from .statevector import Distribution, _advance, _check_unit, _rows, _squared_abs
 from .tolerances import EXACT_TOL
 
 
@@ -89,13 +89,13 @@ def _mixture_rows(rc: RandomizedCircuit) -> Iterator[np.ndarray]:
     copied into [2**j, 2**(j+1)), then the intended gate goes to the first
     half and the alternate to the copy.  Ancilla m-1 is the top bit, so the
     output is the last intended gate on the held rows, then its alternate:
-    each block is copied, advanced and squared, and the held rows are not
-    written.  Gates go through statevector's _advance, in the blocks of
-    its _blocks (which alone sets their size), and one workspace of half
-    the largest block, allocated once, serves every gate and holds each
-    block's probabilities: a yielded block is a view into it, valid until
-    the next block is requested: its readers, mixture_distribution and
-    mixture_checksum, copy or hash it first.
+    each block of _rows(held, w) is copied, advanced and squared, and the
+    held rows are not written.  Gates go through statevector's _advance,
+    whose _rows alone sizes the blocks (2**w amplitudes or more, so all of
+    them equal), and one workspace of half a block, allocated once, serves
+    every gate and holds each block's probabilities: a yielded block is a
+    view into it, valid until the next block is requested: its readers,
+    mixture_distribution and mixture_checksum, copy or hash it first.
     The caps are checked before anything is allocated, and the sum within
     EXACT_TOL after the last block.
     """
@@ -103,23 +103,22 @@ def _mixture_rows(rc: RandomizedCircuit) -> Iterator[np.ndarray]:
     need = f"2**{w + m + 4}"  # the mixture's amplitudes
     check_cap("ancilla width", m, BRANCH_CAP, "qubits", need)
     check_cap("total width", w + m, WIDTH_CAP, "qubits", need)
-    held = np.zeros((1 << max(m - 1, 0), 1 << w), dtype=np.complex128)
-    held[0, 0] = 1.0
-    block = np.empty_like(next(_blocks(held, w)))  # the first block is the largest
+    held = np.zeros(1 << max(m - 1, 0) + w, dtype=np.complex128)  # flat: row alpha at alpha << w
+    held[0] = 1.0
+    block = np.empty_like(_rows(held, w)[0])
     scratch = np.empty(block.size // 2, dtype=np.complex128)  # also a block's float64 probs
     for j, (primary, alternate) in enumerate(rc.steps[:-1]):
-        half = 1 << j
+        half = 1 << j + w  # the amplitudes of rows [0, 2**j)
         held[half : 2 * half] = held[:half]
-        _advance(held[:half], [(primary, 0)], w, scratch)
-        _advance(held[half : 2 * half], [(alternate, 0)], w, scratch)
+        _advance(held[:half], [(primary, 0)], scratch)
+        _advance(held[half : 2 * half], [(alternate, 0)], scratch)
     # With m = 0 there is no last step: the one held row is the mixture.
     total = 0.0
     for gate in rc.steps[-1] if m else (Gate("I1", (0,)),):
-        for rows in _blocks(held, w):
-            part = block[: len(rows)]  # the last block may be short
-            np.copyto(part, rows)
-            _advance(part, [(gate, 0)], w, scratch)
-            probs = _squared_abs(part.ravel(), scratch.view(np.float64)[: part.size])
+        for row in _rows(held, w):
+            np.copyto(block, row)
+            _advance(block, [(gate, 0)], scratch)
+            probs = _squared_abs(block, scratch.view(np.float64))
             probs /= 1 << m
             total += float(probs.sum())
             yield probs

@@ -14,11 +14,13 @@ half the array, is allocated once per run: a gate allocates nothing.
 with amplitude i stored at i ^ flip, and each gate meets the frame of the
 X gates after it: |0...0> starts at the XOR of every X target and the
 frame ends at 0, so nothing is left to undo.  The kernel pins each half by
-its stored bit.  Every gate goes through _advance, a block of at most
-_BLOCK_AMPS amplitudes at a time (_blocks alone sets the size): a run of
-gates below qubit log2(_BLOCK_AMPS) as one list per block, and any other
-gate on the whole state.  Every amplitude sees the same ufunc calls in the
-same order as gate by gate on the whole state, so the bytes are the same.
+its stored bit.  Every gate goes through _advance, one row at a time, and
+_rows alone sizes the rows: 2**max(top qubit + 1, _BLOCK_BITS) amplitudes,
+or the whole array if that is smaller.  Consecutive gates whose rows are
+the same size share them, each row taking all of them before the next, so
+a run of gates below qubit _BLOCK_BITS stays in cache.  Every amplitude
+sees the same ufunc calls in the same order as gate by gate on the whole
+state, so the bytes are the same.
 
 No approximation anywhere: simulation is exact up to float round-off, and
 widths are capped at WIDTH_CAP qubits rather than degraded.  StateVector
@@ -39,10 +41,9 @@ from .tolerances import EXACT_TOL
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-# Amplitudes per cache-sized block (1 MiB of complex128), read by _blocks
-# alone: run's gate runs below qubit log2(_BLOCK_AMPS) and the mixture's
-# branch rows go in blocks of at most this many amplitudes.
-_BLOCK_AMPS = 1 << 16
+# log2 of the fewest amplitudes in a row (2**16, 1 MiB of complex128: it
+# stays in cache), read by _rows alone.
+_BLOCK_BITS = 16
 
 # Round-off bound per kernel step on the drift of sum |amplitude|^2, and so
 # of the norm.  I1, X, CNOT and S are exact: a swap, or a product by i that
@@ -135,18 +136,17 @@ def _pinned(bits: np.ndarray, width: int, *pins: tuple[int, int]) -> np.ndarray:
     return bits[(..., *index)]
 
 
-def _apply_gate_inplace(
-    amps: np.ndarray, gate: Gate, width: int, scratch: np.ndarray, flip: int = 0
-) -> None:
-    """Apply one gate to amps (last axis = amplitude index), in place, with
-    scratch (flat complex128, at least amps.size // 2) as its one workspace.
-    flip is run's X frame: amplitude i is stored at index i ^ flip, so each
-    pin takes the stored value of its logical bit."""
+def _apply_gate_inplace(amps: np.ndarray, gate: Gate, scratch: np.ndarray, flip: int = 0) -> None:
+    """Apply one gate to amps (last axis = amplitude index, 2**width long),
+    in place, with scratch (flat complex128, at least amps.size // 2) as its
+    one workspace.  flip is run's X frame: amplitude i is stored at index
+    i ^ flip, so each pin takes the stored value of its logical bit."""
     if not amps.flags.c_contiguous:
         # reshape would hand back a copy and the writes below would be lost.
         raise ValueError("the gate kernel needs a C-contiguous amplitude array")
     if gate.kind == "I1":
         return
+    width = amps.shape[-1].bit_length() - 1
     bits = amps.reshape(amps.shape[:-1] + (2,) * width)
     *controls, target = gate.targets  # CNOT acts where its control is 1
     pins = [(control, 1 ^ flip >> control & 1) for control in controls]
@@ -177,20 +177,22 @@ def check_width(width: int) -> None:
     check_cap("circuit width", width, WIDTH_CAP, "qubits", f"2**{width + 4}")
 
 
-def _blocks(rows: np.ndarray, width: int):
-    """Views of rows, an (n, 2**width) array, in order: blocks of at most
-    _BLOCK_AMPS amplitudes, and at least one row."""
-    step = max(1, _BLOCK_AMPS >> width)
-    return (rows[start : start + step] for start in range(0, len(rows), step))
+def _rows(amps: np.ndarray, bits: int) -> np.ndarray:
+    """amps, a flat C-contiguous array, viewed as rows of
+    2**max(bits, _BLOCK_BITS) amplitudes, or as one row if it is shorter."""
+    return amps.reshape(-1, min(amps.size, 1 << max(bits, _BLOCK_BITS)))
 
 
-def _advance(rows: np.ndarray, gates, width: int, scratch: np.ndarray) -> None:
-    """Apply each (gate, frame) pair to rows, a C-contiguous (n, 2**width)
-    array, in place: every gate to one block before the next, so a block
-    stays in cache for all of them."""
-    for block in _blocks(rows, width):
-        for gate, frame in gates:
-            _apply_gate_inplace(block, gate, width, scratch, frame)
+def _advance(amps: np.ndarray, steps, scratch: np.ndarray) -> None:
+    """Apply each (gate, frame) step to amps, a flat C-contiguous array, in
+    place, on the rows _rows gives its top qubit: consecutive steps with
+    rows of one size go row by row, each row taking all of them before the
+    next, so a row stays in cache for the whole run."""
+    for shape, group in groupby(steps, key=lambda step: _rows(amps, max(step[0].targets) + 1).shape):
+        group = list(group)
+        for row in amps.reshape(shape):
+            for gate, frame in group:
+                _apply_gate_inplace(row, gate, scratch, frame)
 
 
 def run(circuit: Circuit) -> StateVector:
@@ -198,7 +200,6 @@ def run(circuit: Circuit) -> StateVector:
     norm checked within EXACT_TOL plus GATE_ROUNDOFF per gate."""
     check_width(circuit.width)
     w = circuit.width
-    k = min(w, _BLOCK_AMPS.bit_length() - 1)  # gates below qubit k stay in a block
     flip, steps = 0, []  # the X frame, and each other gate with the X frame after it
     for g in reversed(circuit.gates):
         if g.kind == "X":
@@ -208,9 +209,7 @@ def run(circuit: Circuit) -> StateVector:
     amps = np.zeros(1 << w, dtype=np.complex128)
     amps[flip] = 1.0  # |0...0> in the frame of every X, so the frame ends at 0
     scratch = np.empty(amps.size // 2, dtype=np.complex128)  # the one workspace
-    for low, group in groupby(reversed(steps), key=lambda step: max(step[0].targets) < k):
-        width = k if low else w  # a gate at or above qubit k takes the whole state
-        _advance(amps.reshape(-1, 1 << width), list(group), width, scratch)
+    _advance(amps, reversed(steps), scratch)
     del scratch  # freed before StateVector copies the amplitudes in
     return StateVector(w, amps, tol=EXACT_TOL + GATE_ROUNDOFF * circuit.m)
 

@@ -37,7 +37,7 @@ from depolab.depol import SAMPLE_CAP, sorted_draws
 from depolab.discrimination import check_copies, random_density_matrix
 from depolab.errors import CapExceeded
 from depolab.reports import render_json
-from depolab.statevector import _BLOCK_AMPS, check_width
+from depolab.statevector import _BLOCK_BITS, check_width
 from oracles import brute_checksum, per_fidelity_depolarize
 from strategies import fidelities, gates, seeds
 
@@ -309,7 +309,7 @@ class TestThm1:
 
 class TestMixtureChecksum:
     # (w, gates): (5, 12) has 2**17 probabilities, m = 0 has no last step,
-    # m = 1 no doubling, and a (17, 2) branch row is past _BLOCK_AMPS.
+    # m = 1 no doubling, and a (17, 2) branch row is past 2**_BLOCK_BITS.
     @pytest.mark.parametrize("key", range(4))
     @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (3, 8), (5, 12), (3, 0), (2, 1), (17, 2)])
     def test_matches_naive_oracle(self, key, shape):
@@ -329,15 +329,15 @@ class TestMixtureChecksum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (1 << (w + m - 1)) * 16 + 24 * _BLOCK_AMPS + 32 * np.getbufsize() + 16384
+        assert peak <= (1 << (w + m - 1)) * 16 + (24 << _BLOCK_BITS) + 32 * np.getbufsize() + 16384
 
     def test_sum_is_checked_on_both_routes(self, monkeypatch):
         # A kernel that grows every amplitude by 1e-6 breaks the unit sum
         # far past EXACT_TOL: the stream refuses it as Distribution does.
         real = depolab.statevector._apply_gate_inplace
 
-        def drifting(amps, gate, width, scratch, flip):
-            real(amps, gate, width, scratch, flip)
+        def drifting(amps, gate, scratch, flip):
+            real(amps, gate, scratch, flip)
             amps *= 1 + 1e-6
 
         monkeypatch.setattr(depolab.statevector, "_apply_gate_inplace", drifting)

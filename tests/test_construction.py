@@ -96,13 +96,14 @@ class TestMixture:
     @pytest.mark.parametrize("rows", [1, 3, 7])
     @pytest.mark.parametrize("shape", [(1, 9), (4, 8), (12, 3)])
     def test_block_size_leaves_every_bit(self, monkeypatch, rows, shape):
-        # Blocks of 1, 3 or 7 branch rows, in the doubling halves and the
-        # last step alike (statevector's _blocks sizes both), give the
-        # bytes of the default block size.
+        # Blocks of 1, 3 or 7 branch rows, rounded down to the power of
+        # two _rows can size, in the doubling halves and the last step
+        # alike (statevector's _rows sizes both), give the bytes of the
+        # default block size.
         rng = np.random.Generator(np.random.Philox(key=rows))
         rc = RandomizedCircuit(random_circuit(*shape, rng))
         whole = mixture_distribution(rc).probs
-        monkeypatch.setattr(depolab.statevector, "_BLOCK_AMPS", rows << shape[0])
+        monkeypatch.setattr(depolab.statevector, "_BLOCK_BITS", (rows << shape[0]).bit_length() - 1)
         assert mixture_distribution(rc).probs.tobytes() == whole.tobytes()
 
     def test_branch_cap(self):

@@ -81,13 +81,13 @@ class TestApplyGate:
         # A strided array would be reshaped into a copy, losing the writes.
         amps = np.zeros((2, 4), dtype=np.complex128)[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            _apply_gate_inplace(amps, Gate("H", (0,)), 1, workspace(amps))
+            _apply_gate_inplace(amps, Gate("H", (0,)), workspace(amps))
 
     def test_identity_still_refuses_non_contiguous(self):
         # I1 does no work, but a strided array is refused before that.
         amps = np.zeros((2, 4), dtype=np.complex128)[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            _apply_gate_inplace(amps, Gate("I1", (0,)), 1, workspace(amps))
+            _apply_gate_inplace(amps, Gate("I1", (0,)), workspace(amps))
 
     @pytest.mark.parametrize(
         "gate",
@@ -104,7 +104,7 @@ class TestApplyGate:
             scratch = workspace(amps)
             tracemalloc.start()
             try:
-                _apply_gate_inplace(amps, gate, 12, scratch)
+                _apply_gate_inplace(amps, gate, scratch)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -119,7 +119,7 @@ class TestApplyGate:
         batch = np.eye(d, dtype=np.complex128)
         scratch = workspace(batch)
         for g in circuit.gates:
-            _apply_gate_inplace(batch, g, circuit.width, scratch)
+            _apply_gate_inplace(batch, g, scratch)
         assert np.allclose(batch.T, dense_unitary(circuit), atol=1e-10)
 
 
@@ -149,7 +149,7 @@ class TestKernelMatchesMatrixKernel:
         fast, slow = start.copy(), start.copy()
         scratch = workspace(fast)
         for g in circuit.gates:
-            _apply_gate_inplace(fast, g, circuit.width, scratch)
+            _apply_gate_inplace(fast, g, scratch)
             matrix_kernel(slow, g, circuit.width)
         assert_same_bits(fast, slow)
 
@@ -161,7 +161,7 @@ class TestKernelMatchesMatrixKernel:
         slow = fast.copy()
         scratch = workspace(fast)
         for g in circuit.gates:
-            _apply_gate_inplace(fast, g, circuit.width, scratch)
+            _apply_gate_inplace(fast, g, scratch)
             matrix_kernel(slow, g, circuit.width)
         assert_same_bits(fast, slow)
 
@@ -198,7 +198,7 @@ class TestKernelMatchesAllocatingKernel:
         fast, slow = np.ascontiguousarray(amps[..., stored_at]), amps.copy()
         scratch = workspace(fast)
         for g in circuit.gates:
-            _apply_gate_inplace(fast, g, circuit.width, scratch, flip)
+            _apply_gate_inplace(fast, g, scratch, flip)
             allocating_kernel(slow, g, circuit.width)
         assert fast[..., stored_at].tobytes() == slow.tobytes()
 
@@ -228,9 +228,9 @@ def recorded_run(circuit, monkeypatch) -> tuple[np.ndarray, set]:
     real = depolab.statevector._apply_gate_inplace
     calls = set()
 
-    def recording(amps, gate, width, scratch, flip):
+    def recording(amps, gate, scratch, flip):
         calls.add((gate, flip))
-        real(amps, gate, width, scratch, flip)
+        real(amps, gate, scratch, flip)
 
     monkeypatch.setattr(depolab.statevector, "_apply_gate_inplace", recording)
     return run(circuit).amps, calls
@@ -263,7 +263,7 @@ class TestRunMatchesGateByGate:
     def test_same_bytes_across_the_block_edge(self, circuit):
         # Blocks of 2**EDGE amplitudes, so widths past EDGE go block by block.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(depolab.statevector, "_BLOCK_AMPS", 1 << EDGE)
+            mp.setattr(depolab.statevector, "_BLOCK_BITS", EDGE)
             assert run(circuit).amps.tobytes() == gate_by_gate_run(circuit).tobytes()
 
     @pytest.mark.parametrize(
@@ -277,7 +277,7 @@ class TestRunMatchesGateByGate:
     )
     def test_pinned_edge_cases(self, monkeypatch, text):
         circuit = parse_circuit(text)
-        monkeypatch.setattr(depolab.statevector, "_BLOCK_AMPS", 1 << EDGE)
+        monkeypatch.setattr(depolab.statevector, "_BLOCK_BITS", EDGE)
         amps, calls = recorded_run(circuit, monkeypatch)
         assert amps.tobytes() == gate_by_gate_run(circuit).tobytes()
         assert calls == frames_after(circuit)
@@ -325,6 +325,32 @@ state = run(parse_circuit(sys.stdin.read()))
 digest = hashlib.sha256(state.amps.tobytes() + distribution_of(state).probs.tobytes())
 print(json.dumps({"features": __cpu_features__, "sha256": digest.hexdigest()}))
 """
+
+
+class TestRowRule:
+    def test_rows_follow_the_top_qubit(self, monkeypatch):
+        # Low gates share 2**16-amplitude rows, each row taking the whole
+        # run before the next; a gate with top qubit q >= 16 goes in rows
+        # of 2**(q+1), not on the whole state.
+        low = [Gate("H", (3,)), Gate("T", (9,)), Gate("S", (3,))]
+        high = [Gate("H", (17,)), Gate("CNOT", (18, 2))]
+        circuit = Circuit(20, tuple(low + high + [Gate("H", (0,))]))
+        real = depolab.statevector._apply_gate_inplace
+        calls = []
+
+        def recording(amps, gate, *rest):
+            calls.append((gate, amps.size, amps.ctypes.data))
+            real(amps, gate, *rest)
+
+        monkeypatch.setattr(depolab.statevector, "_apply_gate_inplace", recording)
+        amps = run(circuit).amps
+        assert amps.tobytes() == gate_by_gate_run(circuit).tobytes()
+        base = min(data for _, _, data in calls)
+        expected = [(g, 1 << 16, r << 16) for r in range(16) for g in low]
+        expected += [(high[0], 1 << 18, r << 18) for r in range(4)]
+        expected += [(high[1], 1 << 19, r << 19) for r in range(2)]
+        expected += [(Gate("H", (0,)), 1 << 16, r << 16) for r in range(16)]
+        assert [(g, size, (data - base) // 16) for g, size, data in calls] == expected
 
 
 def dispatch_run(text: str, disabled: str | None) -> dict:
@@ -483,7 +509,7 @@ class TestRunMemory:
         odd = {q for q in range(w) if sum(g == Gate("X", (q,)) for g in gates) % 2}
         toggle = (odd ^ {3, 14}) & {3, 14, 15}
         circuit = Circuit(w, gates + tuple(Gate("X", (q,)) for q in sorted(toggle)))
-        monkeypatch.setattr(depolab.statevector, "_BLOCK_AMPS", 1 << 12)
+        monkeypatch.setattr(depolab.statevector, "_BLOCK_BITS", 12)
         loop_peak, peak = run_peaks(circuit, monkeypatch)
         assert loop_peak <= 1.5 * state + LOOP_BUFFERS + 65536
         assert peak <= 2.0 * state + 65536
