@@ -18,9 +18,9 @@ count grid next to the draw-order lookup it must not fall behind
 `bound_chain` on a pure state by (w, k), `random_density_matrix` (with
 the tracemalloc peak of one more, untimed call: `peak_bytes`),
 `parse_circuit`, the depolarize route on a 3-fidelity grid with 10**6
-draws (`run_experiment`: one draw set, tallies and their names), rendering
-its report (the check walk alone, to a string, and streamed into
-os.devnull), thm1's mixture checksum (streamed from the circuit, so the
+draws (`run_experiment`: one draw set and a `Tally` leaf per fidelity),
+rendering its report (the check walk alone, to a string, and streamed
+into os.devnull; the tallies print from their arrays), thm1's mixture checksum (streamed from the circuit, so the
 mixture's work is in it), and (full runs only) the tier-1 suite.  The
 kernel rows build each state and its workspace before the clock starts,
 so they time the gates and not the allocator.  One more row, `run_cold`,

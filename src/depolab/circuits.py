@@ -145,12 +145,18 @@ def serialize_circuit(circuit: Circuit) -> str:
     return "\n".join([f"qubits {circuit.width}", *map(str, circuit.gates)]) + "\n"
 
 
+def outcome_labels(outcomes: np.ndarray, width: int) -> np.ndarray:
+    """The bitstrings of 1-D int64 outcome indices in [0, 2**width), as one
+    row of ASCII '0'/'1' bytes (uint8) each, qubit 0 printed leftmost."""
+    octets = np.ascontiguousarray(outcomes, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=width, bitorder="little") + ord("0")
+
+
 def outcome_string(index: int, width: int) -> str:
     """Bitstring for an outcome index, qubit 0 printed leftmost."""
     if not 0 <= index < (1 << width):
         raise ValueError(f"outcome {index} out of range for width {width}")
-    # The top bit pads to width digits; [:0:-1] reverses and drops it.
-    return format(index | 1 << width, "b")[:0:-1]
+    return outcome_labels(np.array([index], dtype=np.int64), width).tobytes().decode("ascii")
 
 
 def random_circuit(width: int, gate_count: int, rng: np.random.Generator) -> Circuit:

@@ -27,7 +27,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .circuits import outcome_string, parse_circuit
+from .circuits import parse_circuit
 from .construction import (
     RandomizedCircuit,
     depolarized_acceptance,
@@ -47,7 +47,7 @@ from .depol import (
 )
 from .discrimination import bound_chain, check_copies, random_density_matrix
 from .errors import CapExceeded, CircuitParseError
-from .reports import render_json
+from .reports import Tally, render_json
 from .statevector import check_width, distribution_of, output_distribution, run, zero_overlap
 
 
@@ -102,14 +102,12 @@ def _run_depolarize(config: ExperimentConfig, circuit) -> tuple[dict, bool]:
     ideal = output_distribution(circuit)
     noisy = [depolarize(ideal, f) for f in config.fidelity_grid]
     tallies = [tally(dist, draws) for dist in noisy]
-    del draws  # 8 bytes a draw: freed before the names and the report are built
-    distinct = set().union(*(outcomes.tolist() for outcomes, _ in tallies))
-    names = {z: outcome_string(z, circuit.width) for z in distinct}
+    del draws  # 8 bytes a draw: freed before the report is built
     entries = [
         {
             "fidelity": f,
             "probabilities": dist.probs,
-            "tally": dict(zip(map(names.__getitem__, outcomes.tolist()), counts.tolist())),
+            "tally": Tally(circuit.width, outcomes, counts),
             "empirical_tv": empirical_tv(outcomes, counts, dist),
         }
         for f, dist, (outcomes, counts) in zip(config.fidelity_grid, noisy, tallies)

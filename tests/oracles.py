@@ -35,7 +35,6 @@ from depolab import (
     check_fidelity,
     check_seed,
     depolarize,
-    outcome_string,
     output_distribution,
     sorted_draws,
     tally,
@@ -376,7 +375,7 @@ def depolarize_density(rho: np.ndarray, fidelity: float) -> np.ndarray:
 
 def per_fidelity_depolarize(config, circuit) -> dict:
     """The depolarize results with fresh sorted_draws of config.seed per
-    fidelity, an outcome_string per tallied outcome and loop_empirical_tv."""
+    fidelity, a loop_outcome_string per tallied outcome and loop_empirical_tv."""
     ideal = output_distribution(circuit)
     entries = []
     for f in config.fidelity_grid:
@@ -387,7 +386,7 @@ def per_fidelity_depolarize(config, circuit) -> dict:
             {
                 "fidelity": f,
                 "probabilities": noisy.probs,
-                "tally": {outcome_string(z, noisy.width): c for z, c in counted.items()},
+                "tally": {loop_outcome_string(z, noisy.width): c for z, c in counted.items()},
                 "empirical_tv": loop_empirical_tv(counted, noisy),
             }
         )

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from depolab import outcome_string, reports
-from depolab.reports import FLOAT_CHUNK, INT_RUN, _render_float, render_json
+from depolab import reports
+from depolab.reports import FLOAT_CHUNK, INT_RUN, Tally, _render_float, render_json
+from oracles import loop_outcome_string
 
 # Finite floats, with the awkward ones drawn often: both zeros, subnormals
 # and a few repeats, so chunks share and split runs of equal values.
@@ -19,11 +20,38 @@ awkward = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 0.1, 1.0, -1.0]
 float_arrays = st.lists(st.one_of(awkward, finite), max_size=40).map(
     lambda xs: np.array(xs, dtype=np.float64)
 )
-# Tally-shaped trees: any str keys, int (and bool) leaves, one level of nesting.
+# Trees of any str keys and int (and bool) leaves, one level of nesting.
 leaves = st.one_of(st.integers(), st.booleans())
 int_trees = st.dictionaries(
     st.text(), st.one_of(leaves, st.dictionaries(st.text(), leaves)), max_size=8
 )
+TALLY_SHAPE = "a tally needs 1-D int64 outcomes and counts of one length"
+
+
+@st.composite
+def tallies(draw):
+    """(width, outcomes, counts): distinct outcomes below 2**width, ascending,
+    and int64 counts, the awkward ones (0, 9, 10 and the largest) drawn often."""
+    width = draw(st.integers(0, 62))
+    outcomes = sorted(draw(st.sets(st.integers(0, (1 << width) - 1), max_size=30)))
+    count = st.one_of(st.sampled_from([0, 9, 10, 2**63 - 1]), st.integers(0, 2**63 - 1))
+    counts = draw(st.lists(count, min_size=len(outcomes), max_size=len(outcomes)))
+    return width, outcomes, counts
+
+
+def leaf(width, outcomes, counts, dtype=np.int64):
+    return Tally(width, np.array(outcomes, dtype=dtype), np.array(counts, dtype=dtype))
+
+
+def as_dict(width, outcomes, counts):
+    """The tally as a dict, labelled by the oracle's bit loop."""
+    return {loop_outcome_string(z, width): c for z, c in zip(outcomes, counts)}
+
+
+def wide_leaf(width):
+    """Every outcome of width qubits, each counted 1000 + its index."""
+    outcomes = np.arange(1 << width, dtype=np.int64)
+    return Tally(width, outcomes, 1000 + outcomes)
 
 
 class Pieces:
@@ -132,8 +160,7 @@ class TestRenderJson:
         # The returned text is one join of the streamed pieces: the traced
         # peak is the pieces plus the text, 2.2 times the output length
         # (3.0 when each dict joined its own items before its parent did).
-        tally = {outcome_string(z, 14): 1000 + z for z in range(1 << 14)}
-        tree = {"results": {"per_fidelity": [{"tally": tally}] * 3}}
+        tree = {"results": {"per_fidelity": [{"tally": wide_leaf(14)}] * 3}}
         tracemalloc.start()
         try:
             text = render_json(tree)
@@ -144,7 +171,7 @@ class TestRenderJson:
 
     def test_streamed_peak_is_one_child(self):
         # Streamed, nothing outlives its piece: 12 tallies peak where 3 do.
-        tally = {outcome_string(z, 12): 1000 + z for z in range(1 << 12)}
+        tally = wide_leaf(12)
         peaks = []
         for copies in (3, 12):
             tree = {"results": {"per_fidelity": [{"tally": tally}] * copies}}
@@ -155,6 +182,25 @@ class TestRenderJson:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+
+
+class TestTally:
+    @given(tallies(), st.integers(1, 5))
+    @example((3, [0, 1, 6, 7], [0, 9, 10, 2**63 - 1]), 1)
+    @example((0, [0], [2**63 - 1]), 1)
+    @example((0, [], []), 1)
+    @settings(max_examples=300)
+    def test_renders_like_the_oracle_dict(self, drawn, run):
+        # json.dumps of the dict the oracle labels, nested as in a report,
+        # returned whole and streamed a few rows per piece.
+        tally, as_text = leaf(*drawn), as_dict(*drawn)
+        tree = {"per_fidelity": [{"tally": tally, "after": 0.5}], "last": tally}
+        expected = json.dumps({"per_fidelity": [{"tally": as_text, "after": 0.5}],
+                               "last": as_text}, indent=2)
+        assert render_json(tree) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reports, "INT_RUN", run)
+            assert streamed(tree) == expected
 
 
 class TestStreamed:
@@ -187,9 +233,8 @@ class TestStreamed:
         assert json.loads(render_json(tree)) == tree
 
     def test_pieces(self):
-        # One piece per float chunk and per run of ints, not one per entry.
-        tree = {"tally": {outcome_string(z, 10): z for z in range(1 << 10)},
-                "probabilities": np.full(FLOAT_CHUNK + 1, 0.5)}
+        # One piece per float chunk and per INT_RUN tally rows, not one per entry.
+        tree = {"tally": wide_leaf(10), "probabilities": np.full(FLOAT_CHUNK + 1, 0.5)}
         sink = Pieces()
         render_json(tree, sink)
         # The tally's key, the tally, the array's key, two chunks, "]", "}".
@@ -198,12 +243,14 @@ class TestStreamed:
 
     @pytest.mark.parametrize("items", [0, 1, INT_RUN - 1, INT_RUN, INT_RUN + 1])
     def test_int_runs_in_sub_runs(self, items):
-        # A run of ints ends at a non-int item; no piece holds more than
-        # INT_RUN of its items.
-        tree = {"tally": {**{outcome_string(z, 13): z for z in range(items)}, "after": [0.5]}}
+        # A tally of any length is followed by its parent's next item; no
+        # piece holds more than INT_RUN of its rows.
+        outcomes = list(range(items))
+        tree = {"tally": leaf(13, outcomes, outcomes), "after": [0.5]}
         sink = Pieces()
         render_json(tree, sink)
-        assert "".join(sink.pieces) == render_json(tree) == json.dumps(tree, indent=2)
+        expected = json.dumps({"tally": as_dict(13, outcomes, outcomes), "after": [0.5]}, indent=2)
+        assert "".join(sink.pieces) == render_json(tree) == expected
         assert max(piece.count("\n") for piece in sink.pieces) <= INT_RUN + 1
 
     @pytest.mark.parametrize("bad, error, message", [
@@ -213,7 +260,20 @@ class TestStreamed:
         (1j, TypeError, "cannot render complex in a report"),
         (np.int64(3), TypeError, "cannot render int64 in a report"),
         (np.zeros((2, 2)), TypeError, "cannot render ndarray in a report"),
-    ], ids=["nan", "inf-entry", "int-key", "complex", "int64", "2d-array"])
+        (leaf(3, [2, 1], [1, 1]), ValueError, "tally outcomes must be strictly ascending"),
+        (leaf(3, [1, 1], [1, 1]), ValueError, "tally outcomes must be strictly ascending"),
+        (leaf(3, [0, 8, 9], [1, -1, 1]), ValueError, "outcome 8 out of range for width 3"),
+        (leaf(3, [-1, 2], [1, 1]), ValueError, "outcome -1 out of range for width 3"),
+        (leaf(3, [0, 5, 6], [1, -2, -1]), ValueError, "negative tally for outcome 5"),
+        (leaf(63, [0], [1]), ValueError, "a tally's width must be an int in [0, 62], got 63"),
+        (leaf(3, [0, 1], [1, 1], np.int32), TypeError, TALLY_SHAPE),
+        (leaf(3, [[0, 1]], [[1, 1]]), TypeError, TALLY_SHAPE),
+        (Tally(3, np.array([0, 1]), np.array([1])), TypeError, TALLY_SHAPE),
+        (Tally(3, [0, 1], [1, 1]), TypeError, TALLY_SHAPE),
+    ], ids=["nan", "inf-entry", "int-key", "complex", "int64", "2d-array",
+            "tally-descending", "tally-repeat", "tally-outcome-range", "tally-negative-outcome",
+            "tally-negative-count", "tally-width", "tally-int32", "tally-2d", "tally-length",
+            "tally-lists"])
     def test_bad_tree_writes_nothing(self, bad, error, message):
         # The bad item comes after a float array that would already have
         # been written; the first bad item in render order is named, and
